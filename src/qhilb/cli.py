@@ -50,8 +50,11 @@ def build_engine(cfg: Config) -> Engine:
     overrides = None
     path = cfg.seed_override_path or os.environ.get("QHILB_SEEDS")
     if path:
-        with open(path) as fh:
-            overrides = fh.readlines()
+        try:
+            with open(path) as fh:
+                overrides = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError("cannot read seed file %r: %s" % (path, exc)) from None
     return Engine(c_max=max(cfg.c_max, 1),
                   enable_bidegree_vanishing=cfg.enable_bidegree_vanishing,
                   seed_overrides=overrides)
@@ -327,7 +330,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("k")
     p.set_defaults(func=cmd_gamma)
 
-    p = sub.add_parser("seeds-export", help="dump the explicit seed entries")
+    p = sub.add_parser("seeds-export",
+                       help="dump the explicit seed entries and the rule-derived "
+                            "seeds up to cmax")
     p.set_defaults(func=cmd_seeds_export)
 
     return parser

@@ -20,9 +20,16 @@ a reason, never silently zeroed.  The optional bidegree-vanishing rule
 (off by default) seeds those powers with zero for small bidegrees, where
 no curve of the corresponding type exists.
 
-Values and keys are immutable; the memo tables follow a single-writer
-contract (concurrent reads are fine, writes must be serialized by the
-caller).  Everything here is deterministic and single-threaded by default.
+The engine keeps two tables.  ``memo`` maps a key (class, insertion
+tuple) to its value, both for keys as asked (in any order, divisors
+included) and for the normalized keys the recursion reduces; a normalized
+key normalizes to itself with factor 1, so the two kinds agree wherever
+they meet.  ``origin`` maps a derived normalized key to a note saying
+how it was obtained (the two-point solver, or the associativity instance
+that determined it); seed values need no entry.  Values and keys are
+immutable; both tables follow a single-writer contract (concurrent reads
+are fine, writes must be serialized by the caller).  Everything here is
+deterministic and single-threaded by default.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import chow
 from .chow import (
@@ -220,7 +227,8 @@ class SeedTable:
             self.explicit[mkey] = (value, citation)
 
     def load_overrides(self, lines: Iterable[str]) -> int:
-        """Load "a,b,c | i1 i2 ... | p/q | citation" lines; returns count."""
+        """Load "a,b,c | i1 i2 ... | p/q | citation" lines; returns count.
+        A malformed or conflicting line raises UsageError naming it."""
         n = 0
         for raw in lines:
             line = raw.strip()
@@ -229,11 +237,20 @@ class SeedTable:
             parts = [p.strip() for p in line.split("|")]
             if len(parts) != 4:
                 raise UsageError("bad seed line: %r" % raw)
-            beta = tuple(int(t) for t in parts[0].split(","))
+            try:
+                beta = tuple(int(t) for t in parts[0].split(","))
+                ins = tuple(int(t.lstrip("T")) for t in parts[1].split())
+                value = Fraction(parts[2])
+            except (ValueError, ZeroDivisionError):
+                raise UsageError("bad number in seed line: %r" % raw) from None
             if len(beta) != 3:
                 raise UsageError("bad curve class in seed line: %r" % raw)
-            ins = tuple(int(t.lstrip("T")) for t in parts[1].split())
-            self.add(beta, ins, Fraction(parts[2]), parts[3])
+            if not all(0 <= i < chow.BASIS_SIZE for i in ins):
+                raise UsageError("basis index out of range in seed line: %r" % raw)
+            try:
+                self.add(beta, ins, value, parts[3])
+            except ConsistencyError as exc:
+                raise UsageError("%s (seed line %r)" % (exc, raw)) from None
             n += 1
         return n
 
@@ -424,7 +441,7 @@ class LinExpr:
 
     __slots__ = ("const", "coeffs", "poison")
 
-    def __init__(self, const=Fraction(0), coeffs=None, poison: Optional[str] = None):
+    def __init__(self, const=Fraction(0), coeffs=None, poison: Optional[Unknown] = None):
         self.const = Fraction(const)
         self.coeffs: Dict[Key, Fraction] = dict(coeffs or {})
         self.poison = poison
@@ -432,7 +449,7 @@ class LinExpr:
     @classmethod
     def of_value(cls, v: Value) -> "LinExpr":
         if isinstance(v, Unknown):
-            return cls(poison=v.reason)
+            return cls(poison=v)
         return cls(const=v)
 
     @classmethod
@@ -457,8 +474,8 @@ class LinExpr:
         return LinExpr(self.const * c, {k: v * c for k, v in self.coeffs.items()}, self.poison)
 
     def value(self) -> Value:
-        if self.poison:
-            return Unknown(self.poison)
+        if self.poison is not None:
+            return self.poison
         if self.coeffs:
             raise ConsistencyError("unresolved symbols in %r" % sorted(self.coeffs))
         return self.const
@@ -507,14 +524,17 @@ class InstanceRecord:
         self.beta = beta
         self.target = target
 
-    def describe(self) -> str:
+    def instance(self) -> str:
         corners = ",".join(chow.BASIS_NAMES[i] for i in self.corners)
         extra = " ".join(chow.BASIS_NAMES[i] for i in self.extra) or "-"
+        return "%s: corners(%s) extra(%s) at %r" % (self.label, corners, extra, self.beta)
+
+    def describe(self) -> str:
         tgt = ""
         if self.target is not None:
             tb, ti = self.target
             tgt = " for <%s>_%r" % (" ".join(chow.BASIS_NAMES[i] for i in ti), (tb,))
-        return "%s: corners(%s) extra(%s) at %r%s" % (self.label, corners, extra, self.beta, tgt)
+        return self.instance() + tgt
 
 
 class Engine:
@@ -528,10 +548,7 @@ class Engine:
         if seed_overrides is not None:
             self.seeds.load_overrides(seed_overrides)
         self.memo: Dict[Key, Value] = {}
-        self._raw_memo: Dict[Key, Value] = {}  # pre-normalization fast path
-        self.provenance: Dict[Key, str] = {}
-        self.two_point: Dict[Key, Value] = {}
-        self.two_point_provenance: Dict[Key, str] = {}
+        self.origin: Dict[Key, str] = {}
         self._solved_betas = set()
         self._solving = set()
         self.stats = {"wdvv_instances": 0, "solver_instances": 0}
@@ -566,7 +583,7 @@ class Engine:
         factor, key = self._normalize(tuple(beta), tuple(sorted(insertions)))
         if key is None:
             return "vanishes by an axiom (fundamental class, dimension, or divisor degree)"
-        note = self.provenance.get(key) or self.two_point_provenance.get(key)
+        note = self.origin.get(key)
         if note is None:
             seed = self.seeds.lookup(*key)
             if seed is not None:
@@ -606,30 +623,25 @@ class Engine:
 
     def _invariant(self, beta: Beta, ins: Insertions) -> Value:
         raw = (beta, ins)
-        hit = self._raw_memo.get(raw)
+        hit = self.memo.get(raw)
         if hit is not None:
             return hit
         factor, key = self._normalize(beta, ins)
         if key is None:
             value: Value = Fraction(0)
         else:
-            value = val_scale(factor, self._lookup_or_reduce(key))
-        self._raw_memo[raw] = value
-        return value
-
-    def _lookup_or_reduce(self, key: Key) -> Value:
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        expr = self._reduce_key(key, _NumericContext(self))
-        value = expr.value()
-        self.memo[key] = value
+            value = self.memo.get(key)
+            if value is None:
+                value = self._reduce_key(key, _Context()).value()
+                self.memo[key] = value
+            value = val_scale(factor, value)
+        self.memo[raw] = value
         return value
 
     # -- the recursive reducer ------------------------------------------------
 
     def _reduce_key(self, key: Key, ctx: "_Context") -> LinExpr:
-        if ctx.is_open(key):
+        if key in ctx.targets or (ctx.open_rule is not None and ctx.open_rule(key)):
             return LinExpr.symbol(key)
         cached = ctx.cache.get(key)
         if cached is not None:
@@ -640,45 +652,39 @@ class Engine:
         beta, ins = key
         seed = self.seeds.lookup(beta, ins)
         if seed is not None:
-            self.provenance.setdefault(key, "seed: " + seed[1])
             return LinExpr.of_value(seed[0])
+        record = None
         if ins and all(i == 4 for i in ins):
             # pure incidence-class powers are seed material, never derived
-            expr = LinExpr(poison=_pure_t4_reason(key))
+            expr = LinExpr(poison=Unknown(
+                "requires <T4^%d>_(%d,%d,%d) seed; pure incidence-class powers "
+                "beyond exponent three are not derivable here" % (len(ins), *beta)))
         elif len(ins) <= 2:
             expr = self._two_point_expr(key, ctx)
         else:
-            if key in ctx.stack:
-                raise ConsistencyError("recursion cycle at %r" % (key,))
-            ctx.stack.add(key)
-            try:
-                expr = self._reduce_by_wdvv(key, ctx)
-            finally:
-                ctx.stack.discard(key)
-        ctx.cache[key] = expr
-        if not expr.coeffs and not ctx.is_solver:
+            expr, record = self._reduce_by_wdvv(key, ctx)
+        if ctx.open_rule is not None:
+            if ctx.targets.isdisjoint(expr.coeffs):
+                ctx.cache[key] = expr
+        elif not expr.coeffs:
             self.memo[key] = expr.value()
+            if record is not None and expr.poison is None:
+                self.origin[key] = "WDVV " + record.instance()
         return expr
 
     def _two_point_expr(self, key: Key, ctx: "_Context") -> LinExpr:
         beta, ins = key
         a, b, c = beta
-        stored = self.two_point.get(key)
-        if stored is not None:
-            return LinExpr.of_value(stored)
         if a + b <= 2 and c > self.c_max:
-            return LinExpr(poison="exceeds c_max=%d at %r" % (self.c_max, (beta,)))
-        if a + b <= 2 and not ctx.is_solver:
+            return LinExpr(poison=Unknown("exceeds c_max=%d at %r" % (self.c_max, (beta,))))
+        if a + b <= 2 and ctx.open_rule is None:
             self._ensure_two_point(beta)
-            stored = self.two_point.get(key)
+            stored = self.memo.get(key)
             if stored is not None:
                 return LinExpr.of_value(stored)
-        if ins and all(i == 4 for i in ins):
-            reason = _pure_t4_reason(key)
-        else:
-            reason = "two-point invariant <%s>_%r not determined by the shipped seeds" % (
-                " ".join(chow.BASIS_NAMES[i] for i in ins), (beta,))
-        return LinExpr(poison=reason)
+        reason = "two-point invariant <%s>_%r not determined by the shipped seeds" % (
+            " ".join(chow.BASIS_NAMES[i] for i in ins), (beta,))
+        return LinExpr(poison=Unknown(reason))
 
     def _term_expr(self, beta: Beta, raw: List, ctx: "_Context") -> LinExpr:
         """Reduce one boundary term: a list of basis indices and CohVectors."""
@@ -694,16 +700,13 @@ class Engine:
             total = total + self._reduce_key(key, ctx).scale(coeff * factor)
         return total
 
-    def _interior_value(self, beta: Beta, raw: Insertions) -> Value:
-        """Numeric invariant for interior factors (always at smaller classes)."""
-        return self._invariant(beta, raw)
-
     def _instance_expr(self, corners, extra: Insertions, beta: Beta, ctx: "_Context") -> LinExpr:
         """Residual of one associativity instance: identically zero.
 
         corners (i, j, k, l): the equation couples the pairing (ij|kl)
         against (ik|jl) over all splittings of ``beta`` and labelled
-        partitions of ``extra``.
+        partitions of ``extra``.  Interior factors sit at smaller classes
+        and are evaluated numerically.
         """
         i, j, k, l = corners
         rel = ZERO_EXPR
@@ -712,12 +715,13 @@ class Engine:
         rel = rel - self._term_expr(beta, [i, k, cup(CohVector.basis(j), CohVector.basis(l))] + list(extra), ctx)
         rel = rel - self._term_expr(beta, [cup(CohVector.basis(i), CohVector.basis(k)), j, l] + list(extra), ctx)
         partitions = _multiset_splits(extra)
+        interior = self._invariant
         const_acc = Fraction(0)
         for b1, b2 in splittings(beta):
             for a_part, b_part, weight in partitions:
                 for e, fws in dual_groups():
-                    lhs1 = self._interior_value(b1, (i, j, e) + a_part)
-                    rhs1 = self._interior_value(b1, (i, k, e) + a_part)
+                    lhs1 = interior(b1, (i, j, e) + a_part)
+                    rhs1 = interior(b1, (i, k, e) + a_part)
                     lhs1_zero = isinstance(lhs1, Fraction) and lhs1 == 0
                     rhs1_zero = isinstance(rhs1, Fraction) and rhs1 == 0
                     if lhs1_zero and rhs1_zero:
@@ -725,21 +729,22 @@ class Engine:
                     for f, w in fws:
                         coeff = weight * w
                         if not lhs1_zero:
-                            term = val_mul(lhs1, self._interior_value(b2, (k, l, f) + b_part))
+                            term = val_mul(lhs1, interior(b2, (k, l, f) + b_part))
                             if isinstance(term, Unknown):
-                                return LinExpr(poison=term.reason)
+                                return LinExpr(poison=term)
                             const_acc += coeff * term
                         if not rhs1_zero:
-                            term = val_mul(rhs1, self._interior_value(b2, (j, l, f) + b_part))
+                            term = val_mul(rhs1, interior(b2, (j, l, f) + b_part))
                             if isinstance(term, Unknown):
-                                return LinExpr(poison=term.reason)
+                                return LinExpr(poison=term)
                             const_acc -= coeff * term
         if const_acc != 0:
             rel = rel + LinExpr(const=const_acc)
         return rel
 
-    def _reduce_by_wdvv(self, key: Key, ctx: "_Context") -> LinExpr:
-        """Case analysis on (number of T4 insertions, the rest)."""
+    def _reduce_by_wdvv(self, key: Key, ctx: "_Context") -> Tuple[LinExpr, InstanceRecord]:
+        """Case analysis on (number of T4 insertions, the rest); returns the
+        key's expression and the instance that determined it."""
         beta, ins = key
         m = sum(1 for t in ins if t == 4)
         gammas = sorted((t for t in ins if t != 4), key=lambda t: -CODIM[t])
@@ -773,18 +778,22 @@ class Engine:
             label = "multi-T4 peel"
 
         self.stats["wdvv_instances"] += 1
+        record = InstanceRecord(label, corners, extra, beta, key)
         if self.tracing:
-            self.trace_log.append(InstanceRecord(label, corners, extra, beta, key))
+            self.trace_log.append(record)
 
-        inner = _TargetContext(ctx, key)
-        rel = self._instance_expr(corners, extra, beta, inner)
-        if rel.poison:
-            return LinExpr(poison=rel.poison)
+        ctx.targets.add(key)
+        try:
+            rel = self._instance_expr(corners, extra, beta, ctx)
+        finally:
+            ctx.targets.discard(key)
+        if rel.poison is not None:
+            return LinExpr(poison=rel.poison), record
         t_c = rel.coeffs.pop(key, Fraction(0))
         if t_c == 0:
             raise ConsistencyError(
                 "instance for %r does not contain its target (case %s)" % (key, label))
-        return rel.scale(Fraction(-1) / t_c)
+        return rel.scale(Fraction(-1) / t_c), record
 
     # -- two-point derivation --------------------------------------------------
 
@@ -820,18 +829,18 @@ class Engine:
     def _solve_two_point(self, beta: Beta) -> None:
         open_keys = []
         for key in self._two_point_candidates(beta):
-            if key in self.two_point:
+            if key in self.memo:
                 continue
             if self.seeds.lookup(*key) is None:
                 open_keys.append(key)
         if not open_keys:
             return
         solver = _GaussSolver(open_keys)
-        ctx = _SolverContext(self, frozenset(open_keys))
+        ctx = _Context(frozenset(open_keys).__contains__)
         for corners, extra in _instance_catalog(beta):
             self.stats["solver_instances"] += 1
             rel = self._instance_expr(corners, extra, beta, ctx)
-            if rel.poison:
+            if rel.poison is not None:
                 continue
             if not rel.coeffs:
                 if rel.const != 0:
@@ -854,28 +863,28 @@ class Engine:
         for key, value in solution.items():
             self._store_two_point(key, value, "derived from the associativity equations")
         for key in undetermined:
-            self.two_point[key] = Unknown(
+            self.memo[key] = Unknown(
                 "two-point invariant left undetermined by the associativity system")
-            self.two_point_provenance[key] = "underdetermined"
+            self.origin[key] = "underdetermined"
 
     def _store_two_point(self, key: Key, value: Fraction, note: str) -> None:
         seed = self.seeds.lookup(*key)
         if seed is not None and seed[0] != value:
             raise ConsistencyError(
                 "two-point solver contradicts seed at %r: %s vs %s" % (key, value, seed[0]))
-        old = self.two_point.get(key)
+        old = self.memo.get(key)
         if isinstance(old, Fraction) and old != value:
             raise ConsistencyError("two-point solver contradicts itself at %r" % (key,))
-        self.two_point[key] = value
-        self.two_point_provenance[key] = note
+        self.memo[key] = value
+        self.origin[key] = note
         beta, ins = key
         mkey = (iota_beta(beta), iota_insertions(ins))
-        mold = self.two_point.get(mkey)
+        mold = self.memo.get(mkey)
         if isinstance(mold, Fraction) and mold != value:
             raise ConsistencyError("two-point table not involution-closed at %r" % (mkey,))
         if mold is None and mkey != key:
-            self.two_point[mkey] = value
-            self.two_point_provenance[mkey] = note + " (involution image)"
+            self.memo[mkey] = value
+            self.origin[mkey] = note + " (involution image)"
 
     def derive_two_point_table(self, c_max: Optional[int] = None) -> Dict[Key, Value]:
         """Derive every two-point invariant with a + b <= 2 up to the
@@ -896,116 +905,53 @@ class Engine:
                 if seed is not None:
                     table[key] = seed[0]
                 else:
-                    table[key] = self.two_point.get(
+                    table[key] = self.memo.get(
                         key, Unknown("never required nor derived"))
         return table
 
     # -- public WDVV surface ---------------------------------------------------
 
     def wdvv_instance(self, i: int, j: int, k: int, l: int,
-                      extra: Sequence[int], beta: Beta):
-        """The associativity relation for the given corners as an explicit
-        linear form: (coefficients over invariant keys, constant).  The
-        relation asserts constant + sum coeff * <key> = 0; interior products
-        are evaluated by the engine."""
+                      extra: Sequence[int], beta: Beta) -> LinExpr:
+        """The associativity relation for the given corners as a LinExpr
+        over invariant keys: it asserts const + sum coeffs[key] * <key> = 0.
+        Every unseeded two-point key the solver has not stored stays a
+        symbol; everything else is evaluated by the engine (a poisoned
+        expression names the first Unknown met)."""
         beta = tuple(beta)
-        open_all = _AllTwoPointOpen(self)
-        rel = self._instance_expr((i, j, k, l), tuple(sorted(extra)), beta, open_all)
-        return rel
+        # the solver's two-point keys are exactly the two-point keys in origin
+        ctx = _Context(lambda key: (len(key[1]) <= 2 and key not in self.origin
+                                    and self.seeds.lookup(*key) is None))
+        return self._instance_expr((i, j, k, l), tuple(sorted(extra)), beta, ctx)
 
     def wdvv_residual(self, i: int, j: int, k: int, l: int,
                       extra: Sequence[int], beta: Beta) -> Value:
         """Numeric residual of one associativity instance (zero when the
         computed invariants satisfy the equation; Unknown if any term is)."""
         beta = tuple(beta)
-        ctx = _NumericContext(self)
-        rel = self._instance_expr((i, j, k, l), tuple(sorted(extra)), beta, ctx)
-        if rel.poison:
-            return Unknown(rel.poison)
-        return rel.value()
-
-
-# -- reduction contexts --------------------------------------------------------
-
-def _pure_t4_reason(key: Key) -> str:
-    beta, ins = key
-    return ("requires <T4^%d>_(%d,%d,%d) seed; pure incidence-class powers "
-            "beyond exponent three are not derivable here" % (len(ins), *beta))
+        return self._instance_expr((i, j, k, l), tuple(sorted(extra)), beta, _Context()).value()
 
 
 class _Context:
-    is_solver = False
+    """The state of one reduction.
 
-    def __init__(self, engine: Engine):
-        self.engine = engine
+    ``open_rule`` picks the keys that stay symbolic: None for a numeric
+    reduction, whose finished values go to the engine's value table, or a
+    predicate (the solver's unknowns, or ``wdvv_instance``'s unseeded
+    two-point keys), whose expressions are cached here instead and never
+    reach the value table.  ``targets`` are the keys whose instances are
+    being built; they stay symbolic too, so meeting one again inside its
+    own reduction closes the linear equation instead of recursing.
+    Expressions that mention a target are valid only while it is open and
+    are not cached.
+    """
+
+    __slots__ = ("open_rule", "targets", "cache")
+
+    def __init__(self, open_rule: Optional[Callable[[Key], bool]] = None):
+        self.open_rule = open_rule
+        self.targets: set = set()
         self.cache: Dict[Key, LinExpr] = {}
-        self.stack: set = set()
-
-    def is_open(self, key: Key) -> bool:
-        return False
-
-
-class _NumericContext(_Context):
-    pass
-
-
-class _SolverContext(_Context):
-    is_solver = True
-
-    def __init__(self, engine: Engine, open_keys: frozenset):
-        super().__init__(engine)
-        self.open_keys = open_keys
-
-    def is_open(self, key: Key) -> bool:
-        return key in self.open_keys
-
-
-class _AllTwoPointOpen(_Context):
-    """Used by the public wdvv_instance: every unseeded two-point key stays
-    symbolic so the emitted relation is inspectable."""
-    is_solver = True
-
-    def is_open(self, key: Key) -> bool:
-        return (len(key[1]) <= 2 and key not in self.engine.two_point
-                and self.engine.seeds.lookup(*key) is None)
-
-
-class _TargetContext(_Context):
-    """Wraps another context, additionally keeping one target key symbolic."""
-
-    def __init__(self, base: _Context, target: Key):
-        self.engine = base.engine
-        self.stack = base.stack
-        self.base = base
-        self.target = target
-        self.is_solver = base.is_solver
-        # expressions mentioning the target must not leak into outer caches
-        self.cache = _ShieldedCache(base.cache, target)
-
-    def is_open(self, key: Key) -> bool:
-        return key == self.target or self.base.is_open(key)
-
-
-class _ShieldedCache(dict):
-    """View of a cache that refuses to store entries mentioning the shield
-    key (they are only valid while that key is symbolic)."""
-
-    def __init__(self, base: Dict, shield: Key):
-        super().__init__()
-        self.base = base
-        self.shield = shield
-
-    def get(self, key, default=None):
-        hit = super().get(key)
-        if hit is not None:
-            return hit
-        return self.base.get(key, default)
-
-    def __setitem__(self, key, expr: LinExpr):
-        if self.shield in expr.coeffs:
-            super().__setitem__(key, expr)
-        else:
-            self.base[key] = expr
 
 
 # -- exact Gaussian elimination --------------------------------------------------

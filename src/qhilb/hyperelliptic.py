@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, Optional
+from typing import Dict
 
 from .chow import UsageError
 from .gw_engine import Beta, Engine, Unknown, Value, val_add, val_scale
@@ -110,15 +110,14 @@ class HyperellipticTable:
         self.d2 = d2
         self.counts = dict(sorted(counts.items()))
 
-    def rows(self, l: int, provenance: Optional[Dict[int, str]] = None):
+    def rows(self, l: int):
         """(d1, d2, l, h, count-or-None, note) per genus, ascending."""
         out = []
         for h, value in self.counts.items():
             if isinstance(value, Unknown):
                 out.append((self.d1, self.d2, l, h, None, value.reason))
             else:
-                out.append((self.d1, self.d2, l, h, value,
-                            (provenance or {}).get(h, "")))
+                out.append((self.d1, self.d2, l, h, value, ""))
         return out
 
 

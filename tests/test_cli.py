@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qhilb.cli import main
 
 
@@ -91,6 +93,22 @@ def test_seed_file_dimension_violation(capsys, tmp_path):
     code, _, err = run(capsys, "--cmax", "1", "--seeds", str(seeds), "verify", "--id", "1")
     assert code == 1
     assert "dimension" in err
+
+
+@pytest.mark.parametrize("text, needle", [
+    (None, "cannot read seed file"),
+    ("1,0,1 | 99 | 1 | index out of range\n", "out of range"),
+    ("1,0,1 | 13 | two | not a rational\n", "bad number"),
+    ("1,0,1 | 13 | 1/0 | zero denominator\n", "bad number"),
+    ("1,0,1 | 13 | 2 | first\n1,0,1 | 13 | 3 | second\n", "conflicting seed"),
+])
+def test_seed_file_faults_exit_cleanly(capsys, tmp_path, text, needle):
+    seeds = tmp_path / "seeds.txt"
+    if text is not None:
+        seeds.write_text(text)
+    code, _, err = run(capsys, "--cmax", "1", "--seeds", str(seeds), "verify", "--id", "1")
+    assert code == 1
+    assert needle in err
 
 
 # -- hyper -----------------------------------------------------------------------

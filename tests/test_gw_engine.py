@@ -10,8 +10,7 @@ from qhilb.gw_engine import (
     Engine,
     SeedTable,
     Unknown,
-    _NumericContext,
-    _TargetContext,
+    _Context,
     dimension_check,
     iota_beta,
     iota_insertions,
@@ -149,7 +148,8 @@ def _solve_target_from_instance(engine, key, corners, extra):
     """Independent extraction of one invariant from one associativity
     instance: everything else evaluated by the engine."""
     beta = key[0]
-    ctx = _TargetContext(_NumericContext(engine), key)
+    ctx = _Context()
+    ctx.targets.add(key)
     rel = engine._instance_expr(corners, tuple(extra), beta, ctx)
     assert rel.poison is None
     coeff = rel.coeffs.pop(key)
@@ -336,6 +336,21 @@ def test_provenance_strings(engine):
     note = engine.provenance_of((1, 0, 1), (13,))
     assert "seed" in note
     assert "axiom" in engine.provenance_of((1, 0, 0), (4,))
+    # a WDVV-derived value names the instance that determined it
+    engine.invariant((1, 1, 2), [4, 4, 13])
+    assert engine.provenance_of((1, 1, 2), (4, 4, 13)) == (
+        "WDVV double-T4 instance: corners(T4,T4,T5,T5) extra(-) at (1, 1, 2)")
+
+
+@pytest.mark.parametrize("beta, ins, value, wdvv, solver", [
+    ((1, 1, 2), [4, 4, 13], 2, 322, 111),
+    ((1, 1, 1), [4, 4, 4, 12], 0, 123, 42),
+])
+def test_work_counters_pinned(beta, ins, value, wdvv, solver):
+    # the work one cold query costs; re-deriving a memoized key raises it
+    eng = Engine(c_max=2)
+    assert eng.invariant(beta, ins) == value
+    assert eng.stats == {"wdvv_instances": wdvv, "solver_instances": solver}
 
 
 def test_trace_records():
