@@ -1,8 +1,9 @@
 """Command-line front end: invariants, quantum products, relation checks,
 hyperelliptic count tables, and seed import/export.
 
-Exit codes are a stable contract: 0 success, 1 usage or parse error,
-2 the requested value is Unknown, 3 a relation verification failed.
+Exit codes are a stable contract: 0 success, 1 usage or parse error (a
+seed that contradicts the associativity equations included), 2 the
+requested value is Unknown, 3 a relation verification failed.
 Runs are deterministic: identical inputs and configuration produce
 byte-identical output, and JSON output re-renders to itself.
 """
@@ -21,7 +22,7 @@ from typing import List, Optional, Sequence
 from . import chow, hyperelliptic, quantum
 from .chow import UsageError
 from .coeffring import rat_str
-from .gw_engine import Engine, Unknown
+from .gw_engine import ConsistencyError, Engine, Unknown
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -350,7 +351,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             output_format=args.format,
         )
         return args.func(args, cfg)
-    except UsageError as exc:
+    except (UsageError, ConsistencyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

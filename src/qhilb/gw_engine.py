@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import chow
 from .chow import (
@@ -46,6 +47,7 @@ from .chow import (
     CohVector,
     UsageError,
     cup,
+    cup_basis,
     divisor_degree,
     dual_groups,
     dual_pairs,
@@ -68,10 +70,12 @@ class Unknown:
         return "Unknown(%s)" % self.reason
 
     def __eq__(self, other):
-        return isinstance(other, Unknown)
+        if not isinstance(other, Unknown):
+            return NotImplemented
+        return self.reason == other.reason
 
     def __hash__(self):
-        return hash("Unknown")
+        return hash(("Unknown", self.reason))
 
 
 Value = Union[Fraction, Unknown]
@@ -152,9 +156,10 @@ def splittings(beta: Beta) -> List[Tuple[Beta, Beta]]:
     return out
 
 
-def _multiset_splits(extra: Insertions) -> List[Tuple[Insertions, Insertions, int]]:
+def _multiset_splits(extra: Insertions) -> List[Tuple[Insertions, Insertions, int, int]]:
     """Sub-multisets A of ``extra`` with the count of labelled partitions
-    realising the split (the associativity sum runs over labelled ones)."""
+    realising the split (the associativity sum runs over labelled ones) and
+    the excess codimension sum(codim(t) - 1 for t in A)."""
     items = sorted(set(extra))
     mults = [extra.count(t) for t in items]
     out = []
@@ -166,8 +171,35 @@ def _multiset_splits(extra: Insertions) -> List[Tuple[Insertions, Insertions, in
             weight *= comb(m, p)
             a_part.extend([t] * p)
             b_part.extend([t] * (m - p))
-        out.append((tuple(a_part), tuple(b_part), weight))
+        excess = sum(CODIM[t] - 1 for t in a_part)
+        out.append((tuple(a_part), tuple(b_part), weight, excess))
     return out
+
+
+@lru_cache(maxsize=1)
+def _dual_groups_by_codim() -> Tuple[Tuple[Tuple[int, Tuple[Tuple[int, Fraction], ...]], ...], ...]:
+    """``dual_groups()`` split by the codimension of e (0..4), each part in
+    index order."""
+    parts: List[list] = [[] for _ in range(5)]
+    for e, fws in dual_groups():
+        parts[CODIM[e]].append((e, fws))
+    return tuple(tuple(part) for part in parts)
+
+
+def _expand(insertions: Iterable) -> Iterator[Tuple[Insertions, Union[int, Fraction]]]:
+    """Multilinear expansion of insertions given as basis indices or
+    CohVectors: (sorted basis indices, coefficient) per term.  A plain
+    index is the single term (index, 1); no CohVector is built for it."""
+    choices = [
+        [(t, c) for t, c in enumerate(x.coords) if c] if isinstance(x, CohVector)
+        else ((int(x), 1),)
+        for x in insertions
+    ]
+    for combo in itertools.product(*choices):
+        coeff = 1
+        for _, c in combo:
+            coeff *= c
+        yield tuple(sorted(t for t, _ in combo)), coeff
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +516,7 @@ class LinExpr:
         return "LinExpr(%s, %s, poison=%r)" % (self.const, self.coeffs, self.poison)
 
 
+ZERO = Fraction(0)
 ZERO_EXPR = LinExpr()
 
 
@@ -564,19 +597,9 @@ class Engine:
         beta = tuple(int(t) for t in beta)
         if beta == (0, 0, 0) or not is_effective(beta):
             raise UsageError("invariants want a nonzero effective class, got %r" % (beta,))
-        vectors: List[CohVector] = []
-        for ins in insertions:
-            if isinstance(ins, CohVector):
-                vectors.append(ins)
-            else:
-                vectors.append(CohVector.basis(int(ins)))
         total: Value = Fraction(0)
-        for combo in itertools.product(*(v.support() for v in vectors)):
-            coeff = Fraction(1)
-            for v, i in zip(vectors, combo):
-                coeff *= v.coords[i]
-            term = val_scale(coeff, self._invariant(beta, tuple(sorted(combo))))
-            total = val_add(total, term)
+        for ins, coeff in _expand(insertions):
+            total = val_add(total, val_scale(coeff, self._invariant(beta, ins)))
         return total
 
     def provenance_of(self, beta: Beta, insertions: Sequence[int]) -> str:
@@ -688,13 +711,9 @@ class Engine:
 
     def _term_expr(self, beta: Beta, raw: List, ctx: "_Context") -> LinExpr:
         """Reduce one boundary term: a list of basis indices and CohVectors."""
-        vectors = [v if isinstance(v, CohVector) else CohVector.basis(v) for v in raw]
         total = ZERO_EXPR
-        for combo in itertools.product(*(v.support() for v in vectors)):
-            coeff = Fraction(1)
-            for v, i in zip(vectors, combo):
-                coeff *= v.coords[i]
-            factor, key = self._normalize(beta, tuple(sorted(combo)))
+        for ins, coeff in _expand(raw):
+            factor, key = self._normalize(beta, ins)
             if key is None:
                 continue
             total = total + self._reduce_key(key, ctx).scale(coeff * factor)
@@ -710,34 +729,65 @@ class Engine:
         """
         i, j, k, l = corners
         rel = ZERO_EXPR
-        rel = rel + self._term_expr(beta, [i, j, cup(CohVector.basis(k), CohVector.basis(l))] + list(extra), ctx)
-        rel = rel + self._term_expr(beta, [cup(CohVector.basis(i), CohVector.basis(j)), k, l] + list(extra), ctx)
-        rel = rel - self._term_expr(beta, [i, k, cup(CohVector.basis(j), CohVector.basis(l))] + list(extra), ctx)
-        rel = rel - self._term_expr(beta, [cup(CohVector.basis(i), CohVector.basis(k)), j, l] + list(extra), ctx)
+        rel = rel + self._term_expr(beta, [i, j, cup_basis(k, l), *extra], ctx)
+        rel = rel + self._term_expr(beta, [cup_basis(i, j), k, l, *extra], ctx)
+        rel = rel - self._term_expr(beta, [i, k, cup_basis(j, l), *extra], ctx)
+        rel = rel - self._term_expr(beta, [cup_basis(i, k), j, l, *extra], ctx)
         partitions = _multiset_splits(extra)
+        groups = _dual_groups_by_codim()
         interior = self._invariant
         const_acc = Fraction(0)
         for b1, b2 in splittings(beta):
-            for a_part, b_part, weight in partitions:
-                for e, fws in dual_groups():
-                    lhs1 = interior(b1, (i, j, e) + a_part)
-                    rhs1 = interior(b1, (i, k, e) + a_part)
-                    lhs1_zero = isinstance(lhs1, Fraction) and lhs1 == 0
-                    rhs1_zero = isinstance(rhs1, Fraction) and rhs1 == 0
-                    if lhs1_zero and rhs1_zero:
+            for a_part, b_part, weight, excess in partitions:
+                # By the dimension axiom <i j e A>_{b1} vanishes unless
+                # codim(e) = 2 a1 + 2 b1 + 4 - excess(A) - codim(i) - codim(j),
+                # so only one codimension group of e can contribute on each
+                # side (one for <i j e A>, one for <i k e A>).  The pairing
+                # is graded, so each f of that group has codim 4 - codim(e).
+                # The f-side factors are kept in rows for this split and
+                # partition, each evaluated at its first use, so invariants
+                # are evaluated in the order of the sum over all (e, f).
+                base = 2 * b1[0] + 2 * b1[1] + 4 - excess - CODIM[i]
+                ce_lhs = base - CODIM[j]
+                ce_rhs = base - CODIM[k]
+                row_lhs: Dict[int, Value] = {}
+                row_rhs: Dict[int, Value] = {}
+                for ce in sorted({ce_lhs, ce_rhs}):
+                    if not 0 <= ce <= 4:
                         continue
-                    for f, w in fws:
-                        coeff = weight * w
-                        if not lhs1_zero:
-                            term = val_mul(lhs1, interior(b2, (k, l, f) + b_part))
-                            if isinstance(term, Unknown):
-                                return LinExpr(poison=term)
-                            const_acc += coeff * term
-                        if not rhs1_zero:
-                            term = val_mul(rhs1, interior(b2, (j, l, f) + b_part))
-                            if isinstance(term, Unknown):
-                                return LinExpr(poison=term)
-                            const_acc -= coeff * term
+                    for e, fws in groups[ce]:
+                        lhs1 = interior(b1, (i, j, e) + a_part) if ce == ce_lhs else ZERO
+                        rhs1 = interior(b1, (i, k, e) + a_part) if ce == ce_rhs else ZERO
+                        lhs1_live = isinstance(lhs1, Unknown) or bool(lhs1)
+                        rhs1_live = isinstance(rhs1, Unknown) or bool(rhs1)
+                        if not (lhs1_live or rhs1_live):
+                            continue
+                        sum_lhs = sum_rhs = ZERO
+                        for f, w in fws:
+                            if lhs1_live:
+                                p = row_lhs.get(f)
+                                if p is None:
+                                    p = row_lhs[f] = interior(b2, (k, l, f) + b_part)
+                                if isinstance(lhs1, Unknown) or isinstance(p, Unknown):
+                                    term = val_mul(lhs1, p)
+                                    if isinstance(term, Unknown):
+                                        return LinExpr(poison=term)
+                                elif p:
+                                    sum_lhs += w * p
+                            if rhs1_live:
+                                q = row_rhs.get(f)
+                                if q is None:
+                                    q = row_rhs[f] = interior(b2, (j, l, f) + b_part)
+                                if isinstance(rhs1, Unknown) or isinstance(q, Unknown):
+                                    term = val_mul(rhs1, q)
+                                    if isinstance(term, Unknown):
+                                        return LinExpr(poison=term)
+                                elif q:
+                                    sum_rhs += w * q
+                        if sum_lhs:
+                            const_acc += weight * lhs1 * sum_lhs
+                        if sum_rhs:
+                            const_acc -= weight * rhs1 * sum_rhs
         if const_acc != 0:
             rel = rel + LinExpr(const=const_acc)
         return rel

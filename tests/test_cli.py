@@ -101,12 +101,15 @@ def test_seed_file_dimension_violation(capsys, tmp_path):
     ("1,0,1 | 13 | two | not a rational\n", "bad number"),
     ("1,0,1 | 13 | 1/0 | zero denominator\n", "bad number"),
     ("1,0,1 | 13 | 2 | first\n1,0,1 | 13 | 3 | second\n", "conflicting seed"),
+    # well formed, but the two-point solver at (0,1,1) finds a residual
+    ("0,1,1 | 5 11 | 3 | contradicts associativity\n",
+     "inconsistent associativity instance"),
 ])
 def test_seed_file_faults_exit_cleanly(capsys, tmp_path, text, needle):
     seeds = tmp_path / "seeds.txt"
     if text is not None:
         seeds.write_text(text)
-    code, _, err = run(capsys, "--cmax", "1", "--seeds", str(seeds), "verify", "--id", "1")
+    code, _, err = run(capsys, "--cmax", "2", "--seeds", str(seeds), "verify", "--all")
     assert code == 1
     assert needle in err
 

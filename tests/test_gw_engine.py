@@ -142,6 +142,15 @@ def test_unknown_arithmetic():
     assert isinstance(val_add(Fraction(1), u), Unknown)
 
 
+def test_unknowns_compare_by_reason():
+    a, b = Unknown("requires <T4^5>_(1,1,1) seed"), Unknown("requires <T4^5>_(1,1,1) seed")
+    other = Unknown("requires <T4^5>_(1,1,2) seed")
+    assert a == b and hash(a) == hash(b)
+    assert a != other
+    assert len({a, b, other}) == 2
+    assert a != Fraction(0) and Fraction(0) != a
+
+
 # -- recursion cross-checks -------------------------------------------------------
 
 def _solve_target_from_instance(engine, key, corners, extra):

@@ -133,8 +133,6 @@ def test_rows_shape(engine):
     assert all(len(r) == 6 for r in rows)
 
 
-@pytest.mark.skipif("QHILB_SLOW_TESTS" not in __import__("os").environ,
-                    reason="tens of seconds of recursion; QHILB_SLOW_TESTS=1 enables")
 def test_column_3_2_l1_with_vanishing(engine_bidegree):
     # frozen engine-derived golden: twenty genus-1 curves, nothing else
     q = HyperellipticQuery(3, 2, l=1)

@@ -1,0 +1,90 @@
+"""The engine's associativity loop against the full reference loop.
+
+Each case runs on two fresh engines, one with the engine's own loop and
+one with ``reference_wdvv``'s.  They must agree exactly: the same values
+and the same first Unknown, the same instances in the same order, the
+same counters and origin notes.  The only keys the reference evaluates
+and the engine does not are ones the dimension or fundamental-class
+axiom makes zero.
+"""
+
+import pytest
+
+from qhilb.gw_engine import Engine, Unknown, _Context, dimension_check
+from reference_wdvv import use_reference_loop
+
+
+def _engines(c_max):
+    new, ref = Engine(c_max=c_max), use_reference_loop(Engine(c_max=c_max))
+    new.tracing = ref.tracing = True
+    return new, ref
+
+
+def _assert_same_engine_state(new, ref):
+    assert new.stats == ref.stats
+    assert [r.describe() for r in new.trace_log] == [r.describe() for r in ref.trace_log]
+    assert new.origin == ref.origin
+    for key, value in new.memo.items():
+        assert ref.memo[key] == value, key
+    for beta, ins in ref.memo.keys() - new.memo.keys():
+        assert 0 in ins or not dimension_check(beta, ins), (beta, ins)
+
+
+def _reason(value):
+    return value.reason if isinstance(value, Unknown) else None
+
+
+def _as_tuple(expr):
+    return expr.const, expr.coeffs, _reason(expr.poison)
+
+
+@pytest.mark.parametrize("c_max, beta, ins, poison", [
+    (2, (1, 1, 2), (4, 4, 13), None),        # double-T4 instances, two-point solver
+    (2, (1, 1, 1), (4, 4, 4, 12), None),     # multi-T4 peels with one extra
+    (2, (1, 1, 1), (5, 12, 12), None),       # divisor-subring reduction
+    (2, (1, 1, 2), (5, 5, 5, 5, 5), None),   # repeated extras: partition weights > 1
+    (1, (1, 2, 1), (4, 4, 4, 4, 13), None),  # peels with two and three extras
+    # an interior factor needs an unseeded pure power
+    (1, (1, 2, 1), (4, 4, 4, 4, 4, 12), "requires <T4^5>_(0,2,0) seed"),
+    # an interior factor sits beyond c_max
+    (1, (1, 1, 2), (4, 4, 5, 10), "exceeds c_max=1"),
+])
+def test_reduction_matches_reference(c_max, beta, ins, poison):
+    new, ref = _engines(c_max)
+    got, want = new.invariant(beta, ins), ref.invariant(beta, ins)
+    assert type(got) is type(want) and got == want  # Unknowns: by reason
+    assert (poison is None) == (_reason(got) is None)
+    assert poison is None or poison in got.reason
+    _assert_same_engine_state(new, ref)
+
+
+@pytest.mark.parametrize("c_max, corners, extra, beta", [
+    (1, (1, 12, 4, 7), (), (1, 1, 1)),      # solver rows: three open keys
+    (1, (2, 11, 4, 4), (), (1, 1, 1)),
+    (2, (13, 5, 1, 2), (), (1, 1, 2)),
+    (2, (4, 4, 5, 5), (), (1, 1, 2)),
+    (2, (4, 4, 5, 3), (4,), (1, 1, 1)),
+    (2, (4, 12, 1, 2), (4,), (1, 1, 1)),
+    (2, (4, 5, 1, 1), (), (0, 1, 0)),
+    (1, (4, 13, 1, 2), (11,), (1, 2, 0)),
+    (1, (4, 4, 5, 5), (4, 4), (1, 2, 0)),
+    (1, (4, 12, 1, 2), (4, 4, 4), (1, 2, 1)),
+    (2, (1, 4, 2, 7), (5, 5), (1, 1, 1)),   # partition weight 2 on the (ij|kl) side
+    (2, (4, 12, 2, 3), (4, 5), (1, 1, 1)),  # off balance: no term passes
+    (1, (4, 12, 2, 3), (4,), (1, 1, 2)),    # residual poisoned: beyond c_max
+])
+def test_instances_match_reference(c_max, corners, extra, beta):
+    new, ref = _engines(c_max)
+    # the two-point keys at beta open, as in the two-point solver
+    def open_rule(key):
+        return key[0] == beta and len(key[1]) <= 2
+    got = new._instance_expr(corners, extra, beta, _Context(open_rule))
+    want = ref._instance_expr(corners, extra, beta, _Context(open_rule))
+    assert _as_tuple(got) == _as_tuple(want)
+    got = new.wdvv_instance(*corners, extra, beta)
+    want = ref.wdvv_instance(*corners, extra, beta)
+    assert _as_tuple(got) == _as_tuple(want)
+    got = new.wdvv_residual(*corners, extra, beta)
+    want = ref.wdvv_residual(*corners, extra, beta)
+    assert type(got) is type(want) and got == want
+    _assert_same_engine_state(new, ref)
