@@ -102,15 +102,6 @@ class CohVector:
     def is_homogeneous(self, k: int) -> bool:
         return all(c == 0 for i, c in enumerate(self.coords) if CODIM[i] != k)
 
-    def codimension(self) -> Optional[int]:
-        """Codimension if homogeneous, else None."""
-        degs = {CODIM[i] for i, c in enumerate(self.coords) if c != 0}
-        if not degs:
-            return 0
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
     def support(self) -> List[int]:
         return [i for i, c in enumerate(self.coords) if c != 0]
 

@@ -282,8 +282,17 @@ def cmd_seeds_export(args, cfg: Config) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as UsageError (exit 1) instead of argparse's
+    exit 2, which is the code for an Unknown result.  Subparsers inherit
+    this class."""
+
+    def error(self, message):
+        raise UsageError("%s: %s" % (self.prog, message))
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qhilb",
         description="Exact quantum cohomology of the Hilbert square of a "
                     "quadric surface, with hyperelliptic curve counts.")

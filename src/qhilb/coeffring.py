@@ -12,7 +12,7 @@ exponents in every computation we do).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 Rational = Fraction
 
@@ -32,10 +32,6 @@ def rat_str(x: Rational) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
-
-
-def parse_rational(text: str) -> Rational:
-    return Fraction(text.strip())
 
 
 def monomial_str(m: QMonomial) -> str:
@@ -158,9 +154,6 @@ class QSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(m == (0, 0, 0) for m in self.terms)
-
     def constant_term(self) -> Rational:
         return self.terms.get((0, 0, 0), Fraction(0))
 
@@ -199,13 +192,6 @@ class QSeries:
 
     def __repr__(self) -> str:
         return "QSeries(%s; c_max=%d)" % (self, self.c_max)
-
-
-def series_sum(items: Iterable[QSeries], c_max: int) -> QSeries:
-    total = QSeries.zero(c_max)
-    for s in items:
-        total = total + s
-    return total
 
 
 def geometric_q3(c_max: int) -> QSeries:

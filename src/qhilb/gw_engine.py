@@ -98,18 +98,6 @@ def val_mul(x: Value, y: Value) -> Value:
     return x * y
 
 
-def val_add(x: Value, y: Value) -> Value:
-    if isinstance(x, Unknown):
-        return x
-    if isinstance(y, Unknown):
-        return y
-    return x + y
-
-
-def val_scale(c: Fraction, x: Value) -> Value:
-    return val_mul(Fraction(c), x)
-
-
 # ---------------------------------------------------------------------------
 # Curve classes
 # ---------------------------------------------------------------------------
@@ -140,6 +128,12 @@ def expected_dim(beta: Beta, n: int) -> int:
 def dimension_check(beta: Beta, insertions: Sequence[int]) -> bool:
     """Total insertion codimension must match the expected dimension."""
     return sum(CODIM[i] for i in insertions) == expected_dim(beta, len(insertions))
+
+
+def below_first_bidegree(a: int, b: int) -> bool:
+    """True below the first admissible bidegree, where no smooth curve
+    moves in a positive-dimensional linear system."""
+    return a * b - a - b - 1 < 0
 
 
 def splittings(beta: Beta) -> List[Tuple[Beta, Beta]]:
@@ -217,13 +211,23 @@ _CIT_BIDEGREE = "bidegree vanishing: no curves below the first admissible bidegr
 _CIT_DRESSED = "divisor dressing of: "
 
 
+def _seed_line(key: Key, entry: Tuple[Fraction, str]) -> str:
+    """One "a,b,c | i1 i2 ... | p/q | citation" line, as load_overrides reads."""
+    (a, b, c), ins = key
+    value, cit = entry
+    return "%d,%d,%d | %s | %s | %s" % (a, b, c, " ".join(str(i) for i in ins), value, cit)
+
+
 class SeedTable:
     """Shipped seed invariants: explicit entries plus closed-form rules.
 
-    The table is closed under the factor-swapping involution, and every
-    entry satisfies the dimension axiom.  Rules may be disabled by name
-    (used by the independence check, which re-derives the associativity
-    table instead of consulting it).
+    The table is closed under the factor-swapping involution by
+    construction: ``add`` stores every explicit entry in both
+    orientations, and ``lookup`` maps a key with a < b to its image before
+    it consults the rules, so each rule states only the a >= b family.
+    Every entry satisfies the dimension axiom.  Rules may be disabled by
+    name (used by the independence check, which re-derives the
+    associativity table instead of consulting it).
     """
 
     def __init__(self, enable_bidegree_vanishing: bool = False,
@@ -234,8 +238,7 @@ class SeedTable:
 
     # -- explicit entries --------------------------------------------------
 
-    def add(self, beta: Beta, insertions: Sequence[int], value, citation: str,
-            mirror: bool = True) -> None:
+    def add(self, beta: Beta, insertions: Sequence[int], value, citation: str) -> None:
         beta = tuple(beta)
         ins = tuple(sorted(insertions))
         if not is_effective(beta) or beta == (0, 0, 0):
@@ -251,12 +254,11 @@ class SeedTable:
         if old is not None and old[0] != value:
             raise ConsistencyError("conflicting seed for %r: %s vs %s" % (key, old[0], value))
         self.explicit[key] = (value, citation)
-        if mirror:
-            mkey = (iota_beta(beta), iota_insertions(ins))
-            mold = self.explicit.get(mkey)
-            if mold is not None and mold[0] != value:
-                raise ConsistencyError("seed not involution-closed at %r" % (mkey,))
-            self.explicit[mkey] = (value, citation)
+        mkey = (iota_beta(beta), iota_insertions(ins))
+        mold = self.explicit.get(mkey)
+        if mold is not None and mold[0] != value:
+            raise ConsistencyError("seed not involution-closed at %r" % (mkey,))
+        self.explicit[mkey] = (value, citation)
 
     def load_overrides(self, lines: Iterable[str]) -> int:
         """Load "a,b,c | i1 i2 ... | p/q | citation" lines; returns count.
@@ -287,15 +289,7 @@ class SeedTable:
         return n
 
     def export_lines(self) -> List[str]:
-        out = []
-        for (beta, ins), (value, cit) in sorted(self.explicit.items()):
-            out.append(
-                "%d,%d,%d | %s | %s | %s"
-                % (beta[0], beta[1], beta[2],
-                   " ".join(str(i) for i in ins),
-                   Fraction(value), cit)
-            )
-        return out
+        return [_seed_line(*item) for item in sorted(self.explicit.items())]
 
     def materialize(self, c_max: int) -> Dict[Key, Tuple[Fraction, str]]:
         """Explicit entries plus every rule-based seed with q3-order up to
@@ -324,12 +318,7 @@ class SeedTable:
         return table
 
     def materialized_lines(self, c_max: int) -> List[str]:
-        return [
-            "%d,%d,%d | %s | %s | %s"
-            % (beta[0], beta[1], beta[2],
-               " ".join(str(i) for i in ins), Fraction(value), cit)
-            for (beta, ins), (value, cit) in sorted(self.materialize(c_max).items())
-        ]
+        return [_seed_line(*item) for item in sorted(self.materialize(c_max).items())]
 
     # -- rule lookup ---------------------------------------------------------
 
@@ -338,6 +327,8 @@ class SeedTable:
         hit = self.explicit.get((beta, ins))
         if hit is not None:
             return hit
+        if beta[0] < beta[1]:
+            beta, ins = iota_beta(beta), iota_insertions(ins)
         for name, rule in _SEED_RULES:
             if name in self.disabled_rules:
                 continue
@@ -361,7 +352,7 @@ def _rule_fiber_one_point(table, beta, ins):
 
 
 def _rule_ruled_classes(table, beta, ins):
-    # <T13> and <T4, codim-3> on the (1,0,c) and (0,1,c) families
+    # <T13> and <T4, codim-3> on the (1,0,c) family
     a, b, c = beta
     if (a, b) == (1, 0):
         if ins == (13,):
@@ -369,53 +360,36 @@ def _rule_ruled_classes(table, beta, ins):
         if len(ins) == 2 and ins[0] == 4 and ins[1] in (10, 11, 12):
             v = 1 if (c == 1 and ins[1] in (10, 12)) else 0
             return (Fraction(v), _CIT_RULED)
-    if (a, b) == (0, 1):
-        if ins == (13,):
-            return (Fraction(2 if c == 1 else 0), _CIT_RULED)
-        if len(ins) == 2 and ins[0] == 4 and ins[1] in (10, 11, 12):
-            v = 1 if (c == 1 and ins[1] in (11, 12)) else 0
-            return (Fraction(v), _CIT_RULED)
     return None
 
 
 def _rule_high_fiber_vanishing(table, beta, ins):
-    # all three-point invariants on (1,0,c), (0,1,c) with c > 2 vanish;
-    # via the divisor T3 (degree c != 0) the two-point ones follow
+    # all three-point invariants on (1,0,c) with c > 2 vanish; via the
+    # divisor T3 (degree c != 0) the two-point ones follow
     a, b, c = beta
-    if {a, b} == {0, 1} and c > 2 and len(ins) in (2, 3):
+    if (a, b) == (1, 0) and c > 2 and len(ins) in (2, 3):
         return (Fraction(0), _CIT_DIAGONAL_CLASSES)
     return None
 
 
 def _rule_assoc_table(table, beta, ins):
-    # the associativity-derived two-point table on the ruled families
+    # the associativity-derived two-point table on the ruled family
     a, b, c = beta
-    if len(ins) != 2 or ins[1] not in (10, 11, 12):
+    if (a, b) != (1, 0) or len(ins) != 2 or ins[1] not in (10, 11, 12):
         return None
-    if (a, b) == (0, 1) and ins[0] == 5:
-        v = {10: 0, 11: 2, 12: 2}[ins[1]] if c == 1 else 0
-        return (Fraction(v), _CIT_ASSOC_TABLE)
-    if (a, b) == (1, 0) and ins[0] == 5:
+    if ins[0] == 5:
         v = {10: 2, 11: 0, 12: 2}[ins[1]] if c == 1 else 0
         return (Fraction(v), _CIT_ASSOC_TABLE)
-    if (a, b) == (1, 0) and ins[0] == 6:
-        return (Fraction(0), _CIT_ASSOC_TABLE)
-    if (a, b) == (0, 1) and ins[0] == 7:
+    if ins[0] == 6:
         return (Fraction(0), _CIT_ASSOC_TABLE)
     return None
 
 
 def _rule_worked_two_point(table, beta, ins):
-    # <T11 T6> on (0,1,c) = 1, 2, 1 for c = 0, 1, 2 and the mirror family
+    # <T7 T10> on (1,0,c) = 1, 2, 1 for c = 0, 1, 2, and 0 beyond
     a, b, c = beta
-    if (a, b) == (0, 1) and ins == (6, 11):
-        if c <= 2:
-            return (Fraction((1, 2, 1)[c]), _CIT_WORKED)
-        return (Fraction(0), _CIT_WORKED)
     if (a, b) == (1, 0) and ins == (7, 10):
-        if c <= 2:
-            return (Fraction((1, 2, 1)[c]), _CIT_WORKED)
-        return (Fraction(0), _CIT_WORKED)
+        return (Fraction((1, 2, 1)[c] if c <= 2 else 0), _CIT_WORKED)
     return None
 
 
@@ -433,10 +407,8 @@ def _rule_pure_t4(table, beta, ins):
     m = len(ins)
     if m in (1, 3):
         return (Fraction(0), _CIT_T4_LOW)
-    if table.enable_bidegree_vanishing:
-        a, b, _ = beta
-        if a * b - a - b - 1 < 0:
-            return (Fraction(0), _CIT_BIDEGREE)
+    if table.enable_bidegree_vanishing and below_first_bidegree(beta[0], beta[1]):
+        return (Fraction(0), _CIT_BIDEGREE)
     return None
 
 
@@ -593,14 +565,24 @@ class Engine:
 
     def invariant(self, beta: Sequence[int], insertions: Sequence) -> Value:
         """The genus-zero invariant of the class ``beta`` with the given
-        insertions (basis indices, or CohVectors expanded multilinearly)."""
+        insertions (basis indices, or CohVectors expanded multilinearly).
+        Every term is evaluated; the first Unknown term is the result."""
         beta = tuple(int(t) for t in beta)
         if beta == (0, 0, 0) or not is_effective(beta):
             raise UsageError("invariants want a nonzero effective class, got %r" % (beta,))
-        total: Value = Fraction(0)
+        for x in insertions:
+            if not (type(x) is int and 0 <= x < chow.BASIS_SIZE or isinstance(x, CohVector)):
+                raise UsageError("insertions want basis indices 0..%d or CohVectors, got %r"
+                                 % (chow.BASIS_SIZE - 1, x))
+        total = ZERO
+        unknown: Optional[Unknown] = None
         for ins, coeff in _expand(insertions):
-            total = val_add(total, val_scale(coeff, self._invariant(beta, ins)))
-        return total
+            value = self._invariant(beta, ins)
+            if isinstance(value, Unknown):
+                unknown = unknown or value
+            elif value:
+                total += coeff * value
+        return unknown or total
 
     def provenance_of(self, beta: Beta, insertions: Sequence[int]) -> str:
         factor, key = self._normalize(tuple(beta), tuple(sorted(insertions)))
@@ -657,7 +639,8 @@ class Engine:
             if value is None:
                 value = self._reduce_key(key, _Context()).value()
                 self.memo[key] = value
-            value = val_scale(factor, value)
+            if not isinstance(value, Unknown):
+                value = factor * value
         self.memo[raw] = value
         return value
 

@@ -21,7 +21,7 @@ from math import comb
 from typing import Dict
 
 from .chow import UsageError
-from .gw_engine import Beta, Engine, Unknown, Value, val_add, val_scale
+from .gw_engine import Beta, Engine, LinExpr, Unknown, Value, below_first_bidegree
 
 
 class HyperellipticQuery:
@@ -62,7 +62,7 @@ def seed_vanishing(d1: int, d2: int) -> bool:
     linear system exists, so every pure point-incidence count vanishes."""
     if d1 < 0 or d2 < 0:
         raise UsageError("bidegree components must be >= 0")
-    return d1 * d2 - d1 - d2 - 1 < 0
+    return below_first_bidegree(d1, d2)
 
 
 def forward_invariants(query: HyperellipticQuery, engine: Engine,
@@ -79,11 +79,10 @@ def forward_counts(counts: Dict[int, Value], g_min: int, h_max: int) -> Dict[int
     """The binomial transform itself: from counts back to invariants."""
     out: Dict[int, Value] = {}
     for g in range(g_min, h_max + 1):
-        total: Value = Fraction(0)
+        total = LinExpr()
         for h in range(g, h_max + 1):
-            total = val_add(total, val_scale(Fraction(comb(2 * h + 2, h - g)),
-                                             counts.get(h, Fraction(0))))
-        out[g] = total
+            total += LinExpr.of_value(counts.get(h, Fraction(0))).scale(comb(2 * h + 2, h - g))
+        out[g] = total.value()
     return out
 
 
@@ -94,11 +93,10 @@ def invert_counts(invariants: Dict[int, Value], d1: int, d2: int) -> "Hyperellip
     counts: Dict[int, Value] = {}
     for h in range(h_max, g_min - 1, -1):
         assert comb(2 * h + 2, 0) == 1
-        total = invariants.get(h, Fraction(0))
+        total = LinExpr.of_value(invariants.get(h, Fraction(0)))
         for h2 in range(h + 1, h_max + 1):
-            total = val_add(total, val_scale(Fraction(-comb(2 * h2 + 2, h2 - h)),
-                                             counts[h2]))
-        counts[h] = total
+            total -= LinExpr.of_value(counts[h2]).scale(comb(2 * h2 + 2, h2 - h))
+        counts[h] = total.value()
     return HyperellipticTable(d1, d2, counts)
 
 

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from qhilb.cli import main
 
+DATA = Path(__file__).parent / "data"
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -35,6 +37,29 @@ def test_invariant_parse_error(capsys):
     code, _, err = run(capsys, "invariant", "--beta", "1,0", "--ins", "T13")
     assert code == 1
     assert "a,b,c" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gamma", "T1"),
+    ("bogus",),
+    (),
+    ("--cmax", "x", "verify", "--all"),
+    ("--format", "xml", "verify", "--all"),
+    ("hyper", "--d1", "1"),
+])
+def test_usage_errors_exit_1(capsys, argv):
+    # exit 2 is reserved for an Unknown result, also for argparse's errors
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: qhilb")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("gamma", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_invariant_truncation_fail_fast(capsys):
@@ -127,9 +152,6 @@ def test_hyper_csv(capsys):
 
 def test_hyper_columns_match_frozen_golden(capsys):
     # engine-derived columns frozen from a verified run (not external truth)
-    from pathlib import Path
-
-    data = Path(__file__).parent / "data"
     cases = [
         (("--cmax", "4", "--format", "csv",
           "hyper", "--d1", "2", "--d2", "2", "--l", "2"),
@@ -144,7 +166,7 @@ def test_hyper_columns_match_frozen_golden(capsys):
     for argv, golden in cases:
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert out == (data / golden).read_text(), golden
+        assert out == (DATA / golden).read_text(), golden
 
 
 def test_hyper_unknown_exit(capsys):
@@ -203,6 +225,18 @@ def test_seeds_export(capsys):
     from qhilb.gw_engine import SeedTable
     table = SeedTable()
     assert table.load_overrides(lines) == len(lines)
+
+
+@pytest.mark.parametrize("flags, golden", [
+    ((), "seeds_export_c4.golden"),
+    (("--enable-bidegree-vanishing",), "seeds_export_c4_vanishing.golden"),
+])
+def test_seeds_export_matches_frozen_golden(capsys, flags, golden):
+    # engine-derived rule seeds frozen from a verified run (not external
+    # truth); the (0,1,c) lines come from the (1,0,c) rules via the involution
+    code, out, _ = run(capsys, "--cmax", "4", *flags, "seeds-export")
+    assert code == 0
+    assert out == (DATA / golden).read_text()
 
 
 def test_gamma_command(capsys):

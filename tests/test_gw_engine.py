@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -6,15 +7,16 @@ import pytest
 
 from qhilb.chow import CohVector, UsageError
 from qhilb.gw_engine import (
+    _SEED_RULES,
     ConsistencyError,
     Engine,
+    LinExpr,
     SeedTable,
     Unknown,
     _Context,
     dimension_check,
     iota_beta,
     iota_insertions,
-    val_add,
     val_mul,
 )
 
@@ -100,6 +102,13 @@ def test_invariant_rejects_bad_beta(engine):
         engine.invariant((-1, 0, 1), [13])
 
 
+@pytest.mark.parametrize("insertions", [[-1, 13], [13.7], [99], [True]])
+def test_invariant_rejects_bad_insertions(engine, insertions):
+    # neither a CohVector nor an integer basis index in 0..13
+    with pytest.raises(UsageError):
+        engine.invariant((1, 0, 1), insertions)
+
+
 def test_fundamental_class_insertion_vanishes(engine):
     assert engine.invariant((1, 0, 1), [0, 13]) == 0
 
@@ -122,9 +131,18 @@ def test_multilinearity(engine):
     y = CohVector.basis(9)
     combo = x + y.scale(lam)
     lhs = engine.invariant((0, 0, 2), [combo])
-    rhs = val_add(engine.invariant((0, 0, 2), [x]),
-                  val_mul(lam, engine.invariant((0, 0, 2), [y])))
+    rhs = engine.invariant((0, 0, 2), [x]) + lam * engine.invariant((0, 0, 2), [y])
     assert lhs == rhs
+
+
+def test_unknown_term_propagates_through_multilinear_invariant():
+    eng = Engine(c_max=2)
+    mixed = CohVector.basis(4) + CohVector.basis(5)
+    v = eng.invariant((0, 2, 0), [4, 4, 4, 4, mixed])
+    assert isinstance(v, Unknown)
+    assert v == eng.invariant((0, 2, 0), [4] * 5)
+    # the known term after the Unknown one is still evaluated
+    assert eng.memo[((0, 2, 0), (4, 4, 4, 4, 5))] == 0
 
 
 def test_divisor_elimination(engine):
@@ -139,7 +157,10 @@ def test_unknown_arithmetic():
     u = Unknown("nope")
     assert val_mul(Fraction(0), u) == 0
     assert isinstance(val_mul(Fraction(2), u), Unknown)
-    assert isinstance(val_add(Fraction(1), u), Unknown)
+    # LinExpr keeps the first poison through a sum; scaling by zero drops it
+    first = LinExpr.of_value(u) + LinExpr.of_value(Unknown("later"))
+    assert (LinExpr.of_value(Fraction(1)) + first).value() is u
+    assert (LinExpr.of_value(Fraction(1)) + LinExpr.of_value(u).scale(0)).value() == 1
 
 
 def test_unknowns_compare_by_reason():
@@ -316,6 +337,24 @@ def test_iota_equivariance_spot(engine):
 
 
 # -- seed table mechanics ----------------------------------------------------------
+
+@pytest.mark.parametrize("vanishing", [False, True])
+def test_seed_table_involution_closed(vanishing):
+    # every rule states one orientation; lookup must agree on a key and
+    # its factor-swap image, also with any single rule switched off
+    keys = [
+        ((a, b, c), ins)
+        for a in range(4) for b in range(4 - a) for c in range(7) if (a, b, c) != (0, 0, 0)
+        for n in range(1, 4)
+        for ins in itertools.combinations_with_replacement(range(1, 14), n)
+        if dimension_check((a, b, c), ins)
+    ]
+    for disabled in [()] + [(name,) for name, _ in _SEED_RULES]:
+        table = SeedTable(vanishing, disabled)
+        for beta, ins in keys:
+            image = table.lookup(iota_beta(beta), iota_insertions(ins))
+            assert table.lookup(beta, ins) == image, (disabled, beta, ins)
+
 
 def test_seed_overrides_roundtrip():
     lines = ["3,2,2 | 4 4 4 4 4 4 4 4 4 4 4 | 7/3 | synthetic value for testing"]
