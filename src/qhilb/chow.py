@@ -18,7 +18,9 @@ Products are computed by normal-form rewriting of generator monomials
 against the classical (q = 0) relations of the quantum presentation; the
 resulting cup table is cross-checked in the test suite against an
 independent model of the ring (Z/2-invariants of the blown-up product of
-two quadrics).
+two quadrics).  ``pairing()`` holds the intersection pairing g and its
+exact inverse g_inv; the sums over the inverse pairing read g_inv through
+``dual_groups()``, and ``dual_basis()`` is its rows as classes.
 """
 
 from __future__ import annotations
@@ -354,19 +356,11 @@ def _invert_matrix(mat: List[List[Fraction]]) -> List[List[Fraction]]:
 
 
 class PairingMatrix:
-    """The intersection pairing g and its exact inverse."""
+    """The intersection pairing g and its exact inverse g_inv."""
 
     def __init__(self, g: List[List[Fraction]], g_inv: List[List[Fraction]]):
         self.g = g
         self.g_inv = g_inv
-
-    def nonzero_inverse_pairs(self) -> List[Tuple[int, int, Fraction]]:
-        return [
-            (e, f, self.g_inv[e][f])
-            for e in range(BASIS_SIZE)
-            for f in range(BASIS_SIZE)
-            if self.g_inv[e][f] != 0
-        ]
 
 
 @lru_cache(maxsize=1)
@@ -383,33 +377,19 @@ def pairing() -> PairingMatrix:
 
 
 @lru_cache(maxsize=1)
-def dual_pairs() -> Tuple[Tuple[int, int, Fraction], ...]:
-    """All (e, f, weight) with a nonzero inverse-pairing entry; the sums in
-    the quantum product and the associativity equations run over these."""
-    return tuple(pairing().nonzero_inverse_pairs())
-
-
-@lru_cache(maxsize=1)
 def dual_groups() -> Tuple[Tuple[int, Tuple[Tuple[int, Fraction], ...]], ...]:
-    """dual_pairs grouped by the first index, for sums that can hoist the
-    e-side factor out of the f-loop."""
-    groups: Dict[int, List[Tuple[int, Fraction]]] = {}
-    for e, f, w in dual_pairs():
-        groups.setdefault(e, []).append((f, w))
-    return tuple((e, tuple(fs)) for e, fs in sorted(groups.items()))
+    """The nonzero entries of g_inv as (e, ((f, g^{ef}), ...)) per row e,
+    both indices ascending.  The sums over e and f in the quantum product
+    and the associativity equations run over these; grouping by e lets
+    them evaluate the e-side factor once."""
+    return tuple((e, tuple((f, w) for f, w in enumerate(row) if w))
+                 for e, row in enumerate(pairing().g_inv))
 
 
 @lru_cache(maxsize=1)
 def dual_basis() -> Tuple[CohVector, ...]:
-    """dual(e) with integrate(cup(dual(e), T_g)) = delta_{eg}."""
-    duals = []
-    for e in range(BASIS_SIZE):
-        vec = CohVector.zero()
-        for e2, f, w in dual_pairs():
-            if e2 == e:
-                vec = vec + CohVector.basis(f).scale(w)
-        duals.append(vec)
-    return tuple(duals)
+    """dual(e) with integrate(cup(dual(e), T_g)) = delta_{eg}: row e of g_inv."""
+    return tuple(CohVector(row) for row in pairing().g_inv)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 hyperelliptic count tables, and seed import/export.
 
 Exit codes are a stable contract: 0 success, 1 usage or parse error (a
-seed that contradicts the associativity equations included), 2 the
+seed that contradicts the associativity equations, a ``hyper --gmin``
+outside 0..d1+d2-1, a ``verify --id`` outside 1..17, and an insertion
+list that is malformed or longer than MAX_INSERTIONS included), 2 the
 requested value is Unknown, 3 a relation verification failed.
 Runs are deterministic: identical inputs and configuration produce
 byte-identical output, and JSON output re-renders to itself.
@@ -71,24 +73,31 @@ def parse_beta(text: str):
         raise UsageError("curve class components must be integers: %r" % text)
 
 
+# The insertion list is built in memory, so its length is capped.
+MAX_INSERTIONS = 1000
+
+
 def parse_insertions(tokens: Sequence[str]) -> List[int]:
-    """Tokens like T4^5 T13 (or bare 4^5 13) into a list of basis indices."""
+    """Tokens like T4^5 T13 (or bare 4^5 13) into a list of at most
+    MAX_INSERTIONS basis indices."""
     out: List[int] = []
     for tok in tokens:
         for piece in tok.split():
-            name, _, power = piece.partition("^")
+            name, caret, power = piece.partition("^")
             name = name.strip()
             if name.startswith("T"):
                 name = name[1:]
             try:
                 idx = int(name)
-                mult = int(power) if power else 1
+                mult = int(power) if caret else 1
             except ValueError:
                 raise UsageError("bad insertion token %r" % piece)
             if not 0 <= idx < chow.BASIS_SIZE:
                 raise UsageError("basis index out of range in %r" % piece)
             if mult < 0:
                 raise UsageError("negative power in %r" % piece)
+            if len(out) + mult > MAX_INSERTIONS:
+                raise UsageError("more than %d insertions at %r" % (MAX_INSERTIONS, piece))
             out.extend([idx] * mult)
     if not out:
         raise UsageError("no insertions given")
@@ -208,7 +217,7 @@ def cmd_verify(args, cfg: Config) -> int:
 
 def cmd_hyper(args, cfg: Config) -> int:
     query = hyperelliptic.HyperellipticQuery(args.d1, args.d2, args.l)
-    needed_c = query.d1 + query.d2 - 1 - args.gmin
+    needed_c = hyperelliptic.beta_of(query.d1, query.d2, args.gmin)[2]
     if needed_c > cfg.c_max:
         raise UsageError(
             "truncation error: genus %d needs q3^%d but cmax is %d"

@@ -50,7 +50,6 @@ from .chow import (
     cup_basis,
     divisor_degree,
     dual_groups,
-    dual_pairs,
 )
 
 Beta = Tuple[int, int, int]
@@ -130,6 +129,19 @@ def dimension_check(beta: Beta, insertions: Sequence[int]) -> bool:
     return sum(CODIM[i] for i in insertions) == expected_dim(beta, len(insertions))
 
 
+def dimension_classes(insertions: Sequence[int], c_max: int) -> List[Beta]:
+    """The nonzero effective classes (a, b, c) with c <= c_max at which the
+    insertions pass the dimension axiom, in (a, c) order: a + b is fixed
+    by expected_dim, so there is none when the excess codimension is
+    negative or odd."""
+    double = sum(CODIM[i] for i in insertions) - len(insertions) - 1
+    if double < 0 or double % 2:
+        return []
+    s = double // 2
+    return [(a, s - a, c) for a in range(s + 1) for c in range(c_max + 1)
+            if (a, s - a, c) != (0, 0, 0)]
+
+
 def below_first_bidegree(a: int, b: int) -> bool:
     """True below the first admissible bidegree, where no smooth curve
     moves in a positive-dimensional linear system."""
@@ -178,6 +190,21 @@ def _dual_groups_by_codim() -> Tuple[Tuple[Tuple[int, Tuple[Tuple[int, Fraction]
     for e, fws in dual_groups():
         parts[CODIM[e]].append((e, fws))
     return tuple(tuple(part) for part in parts)
+
+
+def _checked_key(beta: Sequence[int], insertions: Sequence, vectors: bool) -> Beta:
+    """The class of a public query as a tuple, after checking it is three
+    non-negative ints, not all zero, and that every insertion is a basis
+    index 0..13 (or, with ``vectors``, a CohVector).  Raises UsageError."""
+    beta = tuple(beta)
+    if len(beta) != 3 or beta == (0, 0, 0) or not all(type(t) is int and t >= 0 for t in beta):
+        raise UsageError("invariants want a nonzero effective class, got %r" % (beta,))
+    for x in insertions:
+        if not (type(x) is int and 0 <= x < chow.BASIS_SIZE
+                or vectors and isinstance(x, CohVector)):
+            raise UsageError("insertions want basis indices 0..%d%s, got %r"
+                             % (chow.BASIS_SIZE - 1, " or CohVectors" if vectors else "", x))
+    return beta
 
 
 def _expand(insertions: Iterable) -> Iterator[Tuple[Insertions, Union[int, Fraction]]]:
@@ -567,13 +594,7 @@ class Engine:
         """The genus-zero invariant of the class ``beta`` with the given
         insertions (basis indices, or CohVectors expanded multilinearly).
         Every term is evaluated; the first Unknown term is the result."""
-        beta = tuple(int(t) for t in beta)
-        if beta == (0, 0, 0) or not is_effective(beta):
-            raise UsageError("invariants want a nonzero effective class, got %r" % (beta,))
-        for x in insertions:
-            if not (type(x) is int and 0 <= x < chow.BASIS_SIZE or isinstance(x, CohVector)):
-                raise UsageError("insertions want basis indices 0..%d or CohVectors, got %r"
-                                 % (chow.BASIS_SIZE - 1, x))
+        beta = _checked_key(beta, insertions, vectors=True)
         total = ZERO
         unknown: Optional[Unknown] = None
         for ins, coeff in _expand(insertions):
@@ -585,7 +606,8 @@ class Engine:
         return unknown or total
 
     def provenance_of(self, beta: Beta, insertions: Sequence[int]) -> str:
-        factor, key = self._normalize(tuple(beta), tuple(sorted(insertions)))
+        beta = _checked_key(beta, insertions, vectors=False)
+        factor, key = self._normalize(beta, tuple(sorted(insertions)))
         if key is None:
             return "vanishes by an axiom (fundamental class, dimension, or divisor degree)"
         note = self.origin.get(key)
@@ -831,8 +853,7 @@ class Engine:
     # -- two-point derivation --------------------------------------------------
 
     def _two_point_candidates(self, beta: Beta) -> List[Key]:
-        a, b, _ = beta
-        need = 2 * a + 2 * b + 3
+        need = expected_dim(beta, 2)
         out = []
         for i in range(1, chow.BASIS_SIZE):
             for j in range(i, chow.BASIS_SIZE):
@@ -1066,8 +1087,7 @@ def _instance_catalog(beta: Beta):
     """Candidate associativity instances for the two-point solver at one
     curve class: dimension-balanced corner quadruples, no extra insertions
     first, then a single codimension-2 extra for stubborn systems."""
-    a, b, _ = beta
-    want = 2 * a + 2 * b + 4
+    want = expected_dim(beta, 3)
     for corners in _corner_quadruples(want):
         yield corners, ()
     for t in (4, 5, 8):

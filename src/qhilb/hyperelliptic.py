@@ -51,10 +51,9 @@ class HyperellipticQuery:
 
 def beta_of(d1: int, d2: int, g: int) -> Beta:
     """Curve class on the Hilbert square matching bidegree and genus."""
-    c = d1 + d2 - g - 1
-    if c < 0:
-        raise UsageError("genus %d exceeds the bound %d" % (g, d1 + d2 - 1))
-    return (d2, d1, c)
+    if not 0 <= g <= d1 + d2 - 1:
+        raise UsageError("genus %d is outside 0..%d" % (g, d1 + d2 - 1))
+    return (d2, d1, d1 + d2 - g - 1)
 
 
 def seed_vanishing(d1: int, d2: int) -> bool:
@@ -87,13 +86,16 @@ def forward_counts(counts: Dict[int, Value], g_min: int, h_max: int) -> Dict[int
 
 
 def invert_counts(invariants: Dict[int, Value], d1: int, d2: int) -> "HyperellipticTable":
-    """Solve the triangular system for the counts, top genus first."""
+    """Solve the triangular system for the counts, top genus first.  The
+    count at genus h needs the invariants at h and at every genus above,
+    so the table stops above the highest genus without an invariant."""
     h_max = d1 + d2 - 1
-    g_min = min(invariants) if invariants else 0
     counts: Dict[int, Value] = {}
-    for h in range(h_max, g_min - 1, -1):
+    for h in range(h_max, -1, -1):
+        if h not in invariants:
+            break
         assert comb(2 * h + 2, 0) == 1
-        total = LinExpr.of_value(invariants.get(h, Fraction(0)))
+        total = LinExpr.of_value(invariants[h])
         for h2 in range(h + 1, h_max + 1):
             total -= LinExpr.of_value(counts[h2]).scale(comb(2 * h2 + 2, h2 - h))
         counts[h] = total.value()

@@ -23,12 +23,12 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import chow
-from .chow import CODIM, IOTA, CohVector, UsageError, cup, dual_pairs
+from .chow import IOTA, CohVector, UsageError, dual_groups
 from .coeffring import QSeries, Rational, geometric_q3
-from .gw_engine import Beta, Engine, Unknown, is_effective
+from .gw_engine import Beta, Engine, Unknown, dimension_classes, is_effective
 
 Insertion = int
 
@@ -144,31 +144,25 @@ class SmallQuantum:
         if hit is not None:
             return hit
         c_max = self.c_max
-        result = QCohVector.lift(chow.cup_basis(i, j), c_max)
+        # terms[f]: q-exponent -> coefficient of that monomial times Tf
+        terms: List[Dict] = [{(0, 0, 0): c} for c in chow.cup_basis(i, j).coords]
         if i != 0 and j != 0:
-            for e, f, w in dual_pairs():
-                double = CODIM[i] + CODIM[j] + CODIM[e] - 4
-                if double < 0 or double % 2:
-                    continue
-                s = double // 2
-                for a in range(s + 1):
-                    b = s - a
-                    for c in range(0, c_max + 1):
-                        beta = (a, b, c)
-                        if beta == (0, 0, 0):
-                            continue
-                        value = self.engine.invariant(beta, (i, j, e))
-                        if isinstance(value, Unknown):
-                            raise MissingInvariant(beta, (i, j, e), value.reason)
-                        if value == 0:
-                            continue
-                        q = QSeries.monomial(q_of_beta(beta), c_max, value * w)
-                        term = QCohVector.basis(f, c_max).scale(q)
-                        result = result + term
+            for e, fws in dual_groups():
+                for beta in dimension_classes((i, j, e), c_max):
+                    value = self.engine.invariant(beta, (i, j, e))
+                    if isinstance(value, Unknown):
+                        raise MissingInvariant(beta, (i, j, e), value.reason)
+                    if value == 0:
+                        continue
+                    q = q_of_beta(beta)
+                    for f, w in fws:
+                        terms[f][q] = terms[f].get(q, 0) + value * w
+        result = QCohVector([QSeries(t, c_max) for t in terms], c_max)
         self._table[(i, j)] = result
         return result
 
-    def product(self, x: QCohVector, y: QCohVector) -> QCohVector:
+    def _bilinear(self, x: QCohVector, y: QCohVector,
+                  table: Callable[[int, int], QCohVector]) -> QCohVector:
         out = QCohVector.zero(self.c_max)
         for i, si in enumerate(x.coords):
             if si.is_zero():
@@ -176,20 +170,15 @@ class SmallQuantum:
             for j, sj in enumerate(y.coords):
                 if sj.is_zero():
                     continue
-                out = out + self.basis_product(i, j).scale(si * sj)
+                out = out + table(i, j).scale(si * sj)
         return out
 
+    def product(self, x: QCohVector, y: QCohVector) -> QCohVector:
+        return self._bilinear(x, y, self.basis_product)
+
     def cup(self, x: QCohVector, y: QCohVector) -> QCohVector:
-        out = QCohVector.zero(self.c_max)
-        for i, si in enumerate(x.coords):
-            if si.is_zero():
-                continue
-            for j, sj in enumerate(y.coords):
-                if sj.is_zero():
-                    continue
-                lifted = QCohVector.lift(chow.cup_basis(i, j), self.c_max)
-                out = out + lifted.scale(si * sj)
-        return out
+        return self._bilinear(
+            x, y, lambda i, j: QCohVector.lift(chow.cup_basis(i, j), self.c_max))
 
 
 def small_product(engine: Engine, i: int, j: int, c_max: Optional[int] = None) -> QCohVector:
@@ -411,7 +400,10 @@ def verify_relation(engine: Engine, relation: Relation, c_max: Optional[int] = N
 def verify_all(engine: Engine, c_max: Optional[int] = None,
                ids: Optional[Sequence[int]] = None) -> Dict[int, QCohVector]:
     relations = load_relations()
-    wanted = set(ids) if ids is not None else set(range(1, 18))
+    wanted = set(range(1, 18) if ids is None else ids)
+    bad = sorted(wanted - {rel.id for rel in relations})
+    if bad:
+        raise UsageError("relation ids are 1..17, got %s" % " ".join(map(str, bad)))
     ring = SmallQuantum(engine, c_max)
     ev = _Evaluator(ring)
     return {rel.id: ev.run(rel.ast) for rel in relations if rel.id in wanted}
@@ -436,9 +428,6 @@ class GammaSeries:
         self.c_max = c_max
         self.terms: Dict[Tuple[Beta, Tuple[int, ...]], object] = {}
 
-    def add_term(self, beta: Beta, ydeg: Tuple[int, ...], value) -> None:
-        self.terms[(beta, ydeg)] = value
-
     def known_terms(self):
         return {k: v for k, v in self.terms.items() if not isinstance(v, Unknown)}
 
@@ -456,27 +445,17 @@ def gamma(engine: Engine, i: int, j: int, k: int,
         return series  # vanishes: no degree-zero curves contribute
     for n in range(y_truncation + 1):
         for multiset in combinations_with_replacement(range(4, chow.BASIS_SIZE), n):
-            total = CODIM[i] + CODIM[j] + CODIM[k] + sum(CODIM[t] for t in multiset)
-            double = total - 4 - n
-            if double < 0 or double % 2:
-                continue
-            s = double // 2
+            ins = (i, j, k) + multiset
+            ydeg = _ydeg(multiset)
             denom = Fraction(1)
             for t in set(multiset):
                 denom *= factorial(multiset.count(t))
-            for a in range(s + 1):
-                b = s - a
-                for c in range(c_max + 1):
-                    beta = (a, b, c)
-                    if beta == (0, 0, 0):
-                        continue
-                    value = engine.invariant(beta, (i, j, k) + multiset)
-                    if isinstance(value, Unknown):
-                        series.add_term(beta, _ydeg(multiset), value)
-                        continue
-                    if value == 0:
-                        continue
-                    series.add_term(beta, _ydeg(multiset), value / denom)
+            for beta in dimension_classes(ins, c_max):
+                value = engine.invariant(beta, ins)
+                if isinstance(value, Unknown):
+                    series.terms[(beta, ydeg)] = value
+                elif value != 0:
+                    series.terms[(beta, ydeg)] = value / denom
     return series
 
 

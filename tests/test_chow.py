@@ -158,6 +158,14 @@ def test_pairing_structure():
             assert acc == (1 if i == j else 0)
 
 
+def test_dual_groups_are_the_nonzero_inverse_entries():
+    g_inv = pairing().g_inv
+    want = [(e, f, g_inv[e][f]) for e in range(14) for f in range(14) if g_inv[e][f] != 0]
+    got = [(e, f, w) for e, fws in chow.dual_groups() for f, w in fws]
+    assert got == want
+    assert [e for e, _ in chow.dual_groups()] == list(range(14))
+
+
 def test_dual_basis_duality():
     duals = chow.dual_basis()
     for e in range(14):

@@ -54,6 +54,21 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err.startswith("error: qhilb")
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (("hyper", "--d1", "1", "--d2", "1", "--gmin", "-1"), "genus -1 is outside 0..1"),
+    (("hyper", "--d1", "1", "--d2", "1", "--gmin", "2"), "genus 2 is outside 0..1"),
+    (("verify", "--id", "99"), "relation ids are 1..17, got 99"),
+    (("verify", "--id", "0", "1"), "relation ids are 1..17, got 0"),
+    (("invariant", "--beta", "1,0,1", "--ins", "T1^99999999999999999999"), "more than 1000"),
+    (("invariant", "--beta", "1,0,1", "--ins", "T4^"), "bad insertion token 'T4^'"),
+])
+def test_out_of_range_arguments_exit_1(capsys, argv, needle):
+    # none of these may print a made-up answer or end in a traceback
+    code, out, err = run(capsys, "--cmax", "2", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and needle in err
+
+
 @pytest.mark.parametrize("argv", [("--help",), ("gamma", "--help")])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -15,6 +15,7 @@ from qhilb.gw_engine import (
     Unknown,
     _Context,
     dimension_check,
+    dimension_classes,
     iota_beta,
     iota_insertions,
     val_mul,
@@ -30,6 +31,20 @@ def test_dimension_check_examples():
     for c in range(6):
         assert dimension_check((0, 0, c), (8,))
     assert not dimension_check((1, 0, 0), (4, 4))
+
+
+def test_dimension_classes_match_brute_force():
+    # every class of the box with a + b <= 6 passing dimension_check, for
+    # every insertion tuple of length 1..4 (a + b never exceeds 5 there)
+    box = [(a, b, c) for a in range(7) for b in range(7 - a) for c in range(4)]
+    for n in range(1, 5):
+        for ins in itertools.combinations_with_replacement(range(14), n):
+            for c_max in (0, 3):
+                want = sorted(
+                    (beta for beta in box
+                     if beta != (0, 0, 0) and beta[2] <= c_max and dimension_check(beta, ins)),
+                    key=lambda beta: (beta[0], beta[2]))
+                assert dimension_classes(ins, c_max) == want, (ins, c_max)
 
 
 def test_dimension_axiom_randomized(engine):
@@ -96,17 +111,26 @@ def test_invariant_examples(engine):
 
 
 def test_invariant_rejects_bad_beta(engine):
-    with pytest.raises(UsageError):
-        engine.invariant((0, 0, 0), [13])
-    with pytest.raises(UsageError):
-        engine.invariant((-1, 0, 1), [13])
+    # not three non-negative ints, not all zero: (1.7, 0, 1) and ('1', 0, 1)
+    # must not be read as (1, 0, 1)
+    for method in (engine.invariant, engine.provenance_of):
+        for beta in [(0, 0, 0), (-1, 0, 1), (1.7, 0, 1), ("1", 0, 1), (True, 0, 1), (1, 0)]:
+            with pytest.raises(UsageError):
+                method(beta, [13])
 
 
-@pytest.mark.parametrize("insertions", [[-1, 13], [13.7], [99], [True]])
+@pytest.mark.parametrize("insertions", [[-1, 13], [13.7], [99], [True], [13.0], ["13"]])
 def test_invariant_rejects_bad_insertions(engine, insertions):
     # neither a CohVector nor an integer basis index in 0..13
+    for method in (engine.invariant, engine.provenance_of):
+        with pytest.raises(UsageError):
+            method((1, 0, 1), insertions)
+
+
+def test_provenance_of_wants_basis_indices(engine):
+    assert engine.invariant((1, 0, 1), [CohVector.basis(13)]) == 2
     with pytest.raises(UsageError):
-        engine.invariant((1, 0, 1), insertions)
+        engine.provenance_of((1, 0, 1), [CohVector.basis(13)])
 
 
 def test_fundamental_class_insertion_vanishes(engine):

@@ -23,8 +23,9 @@ def test_beta_of():
     assert beta_of(3, 2, 2) == (2, 3, 2)
     assert beta_of(1, 1, 1) == (1, 1, 0)
     assert beta_of(4, 2, 5) == (2, 4, 0)  # maximal genus lands on c = 0
-    with pytest.raises(UsageError):
-        beta_of(1, 1, 5)
+    for g in (5, -1):
+        with pytest.raises(UsageError):
+            beta_of(1, 1, g)
 
 
 def test_query_validation():
@@ -86,6 +87,9 @@ def test_h_range_respected():
     table = invert_counts(invs, 1, 2)
     assert sorted(table.counts) == [1, 2]
     assert max(table.counts) == 1 + 2 - 1
+    # a genus without its invariant gets no count, nor does any genus below
+    assert invert_counts({}, 1, 1).counts == {}
+    assert invert_counts({0: Fraction(1), 2: Fraction(0)}, 1, 2).counts == {2: 0}
 
 
 # -- engine-backed columns ---------------------------------------------------------
