@@ -20,16 +20,30 @@ a reason, never silently zeroed.  The optional bidegree-vanishing rule
 (off by default) seeds those powers with zero for small bidegrees, where
 no curve of the corresponding type exists.
 
-The engine keeps two tables.  ``memo`` maps a key (class, insertion
+The engine keeps two public tables.  ``memo`` maps a key (class, insertion
 tuple) to its value, both for keys as asked (in any order, divisors
 included) and for the normalized keys the recursion reduces; a normalized
 key normalizes to itself with factor 1, so the two kinds agree wherever
 they meet.  ``origin`` maps a derived normalized key to a note saying
 how it was obtained (the two-point solver, or the associativity instance
-that determined it); seed values need no entry.  Values and keys are
-immutable; both tables follow a single-writer contract (concurrent reads
-are fine, writes must be serialized by the caller).  Everything here is
-deterministic and single-threaded by default.
+that determined it); seed values need no entry.
+
+A private third table holds interior rows for the associativity sums: the
+values of <x y t P>_b for every t of one codimension group, keyed by
+(b, x, y, P, codim) with x, y, P in the raw order the sum looks them up.
+A row only filters memo values (it drops zeros and keeps integral values
+as ints) and is stored once every entry of its group has been looked up.
+Memo entries under raw keys with three or more insertions are written
+once, so a stored row stays equal to what its lookups would return; a
+normalized two-point entry can still go from Unknown to a value, which is
+why rows are keyed in raw order, never sorted.  Distinct rows cover
+disjoint sets of raw interior keys, so there are no more rows than such
+keys.  A sum whose rows are all stored and free of Unknowns contracts
+them in integers instead of looking the entries up again.
+
+Values and keys are immutable; all three tables follow a single-writer
+contract (concurrent reads are fine, writes must be serialized by the
+caller).  Everything here is deterministic and single-threaded by default.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import chow
@@ -148,8 +162,10 @@ def below_first_bidegree(a: int, b: int) -> bool:
     return a * b - a - b - 1 < 0
 
 
-def splittings(beta: Beta) -> List[Tuple[Beta, Beta]]:
-    """All decompositions into two nonzero effective classes."""
+@lru_cache(maxsize=None)
+def splittings(beta: Beta) -> Tuple[Tuple[Beta, Beta], ...]:
+    """All decompositions into two nonzero effective classes.  Cached, so
+    every caller (and every interior row key) shares the class tuples."""
     a, b, c = beta
     out = []
     for a1 in range(a + 1):
@@ -159,13 +175,15 @@ def splittings(beta: Beta) -> List[Tuple[Beta, Beta]]:
                 b2_ = (a - a1, b - b1, c - c1)
                 if b1_ != (0, 0, 0) and b2_ != (0, 0, 0):
                     out.append((b1_, b2_))
-    return out
+    return tuple(out)
 
 
-def _multiset_splits(extra: Insertions) -> List[Tuple[Insertions, Insertions, int, int]]:
+@lru_cache(maxsize=None)
+def _multiset_splits(extra: Insertions) -> Tuple[Tuple[Insertions, Insertions, int, int], ...]:
     """Sub-multisets A of ``extra`` with the count of labelled partitions
     realising the split (the associativity sum runs over labelled ones) and
-    the excess codimension sum(codim(t) - 1 for t in A)."""
+    the excess codimension sum(codim(t) - 1 for t in A).  Cached like
+    ``splittings``."""
     items = sorted(set(extra))
     mults = [extra.count(t) for t in items]
     out = []
@@ -179,7 +197,7 @@ def _multiset_splits(extra: Insertions) -> List[Tuple[Insertions, Insertions, in
             b_part.extend([t] * (m - p))
         excess = sum(CODIM[t] - 1 for t in a_part)
         out.append((tuple(a_part), tuple(b_part), weight, excess))
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)
@@ -190,6 +208,72 @@ def _dual_groups_by_codim() -> Tuple[Tuple[Tuple[int, Tuple[Tuple[int, Fraction]
     for e, fws in dual_groups():
         parts[CODIM[e]].append((e, fws))
     return tuple(tuple(part) for part in parts)
+
+
+@lru_cache(maxsize=1)
+def _scaled_dual_columns() -> Tuple[int, Tuple[Tuple[Tuple[int, int], ...], ...]]:
+    """(D, columns): D is the common denominator of ``pairing().g_inv`` and
+    columns[f] lists (e, D * g^{ef}) over the nonzero entries, so sums over
+    the inverse pairing run in integers and divide by D once."""
+    groups = dual_groups()
+    denom = lcm(*(w.denominator for _, fws in groups for _, w in fws))
+    columns: List[list] = [[] for _ in range(chow.BASIS_SIZE)]
+    for e, fws in groups:
+        for f, w in fws:
+            columns[f].append((e, int(w * denom)))
+    return denom, tuple(tuple(col) for col in columns)
+
+
+# An interior row: the values of <x y t P>_b over one codimension group of
+# t, as (entries, image).  entries lists (t, value) for the nonzero and
+# Unknown values, integral values as int; image maps e to the sum over f
+# of D * g^{ef} * value_f (nonzero ones only), or is None when an entry is
+# Unknown, which makes the row unusable for contraction.  Every empty row
+# is the one constant _EMPTY_ROW (never mutated).
+_Row = Tuple[Tuple[Tuple[int, Union[int, Fraction, Unknown]], ...],
+             Optional[Dict[int, Union[int, Fraction]]]]
+_EMPTY_ROW: _Row = ((), {})
+
+
+def _make_row(values: Iterable[Tuple[int, Value]]) -> _Row:
+    entries = tuple((t, v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v)
+                    for t, v in values if isinstance(v, Unknown) or v)
+    if not entries:
+        return _EMPTY_ROW
+    if any(isinstance(v, Unknown) for _, v in entries):
+        return entries, None
+    columns = _scaled_dual_columns()[1]
+    image: Dict[int, Union[int, Fraction]] = {}
+    for f, v in entries:
+        for e, w in columns[f]:
+            image[e] = image.get(e, 0) + w * v
+    return entries, {e: s for e, s in image.items() if s}
+
+
+def _record_row(rows: Dict[tuple, _Row], key: tuple, values: Iterable[Tuple[int, Value]]) -> None:
+    if key not in rows:
+        rows[key] = _make_row(values)
+
+
+def _contract(rows: Dict[tuple, _Row], e_key: tuple, f_key: tuple):
+    """D times sum over (e, f) of e_row[e] g^{ef} f_row[f], from stored
+    rows: None unless the e-row is stored and free of Unknowns and, when
+    it has a nonzero entry, so is the f-row."""
+    e_row = rows.get(e_key)
+    if e_row is None or e_row[1] is None:
+        return None
+    if not e_row[0]:
+        return 0
+    f_row = rows.get(f_key)
+    if f_row is None or f_row[1] is None:
+        return None
+    image = f_row[1]
+    total = 0
+    for e, v in e_row[0]:
+        s = image.get(e)
+        if s:
+            total += v * s
+    return total
 
 
 def _checked_key(beta: Sequence[int], insertions: Sequence, vectors: bool) -> Beta:
@@ -581,6 +665,7 @@ class Engine:
             self.seeds.load_overrides(seed_overrides)
         self.memo: Dict[Key, Value] = {}
         self.origin: Dict[Key, str] = {}
+        self._rows: Dict[tuple, _Row] = {}
         self._solved_betas = set()
         self._solving = set()
         self.stats = {"wdvv_instances": 0, "solver_instances": 0}
@@ -741,7 +826,9 @@ class Engine:
         partitions = _multiset_splits(extra)
         groups = _dual_groups_by_codim()
         interior = self._invariant
+        rows = self._rows
         const_acc = Fraction(0)
+        scaled_acc = 0  # D times the part contracted from stored rows
         for b1, b2 in splittings(beta):
             for a_part, b_part, weight, excess in partitions:
                 # By the dimension axiom <i j e A>_{b1} vanishes unless
@@ -749,17 +836,31 @@ class Engine:
                 # so only one codimension group of e can contribute on each
                 # side (one for <i j e A>, one for <i k e A>).  The pairing
                 # is graded, so each f of that group has codim 4 - codim(e).
-                # The f-side factors are kept in rows for this split and
-                # partition, each evaluated at its first use, so invariants
-                # are evaluated in the order of the sum over all (e, f).
                 base = 2 * b1[0] + 2 * b1[1] + 4 - excess - CODIM[i]
                 ce_lhs = base - CODIM[j]
                 ce_rhs = base - CODIM[k]
+                # When every row this visit reads is stored and free of
+                # Unknowns, its lookups would all be memo hits: contract
+                # the rows instead.
+                lhs = (_contract(rows, (b1, i, j, a_part, ce_lhs), (b2, k, l, b_part, 4 - ce_lhs))
+                       if 0 <= ce_lhs <= 4 else 0)
+                if lhs is not None:
+                    rhs = (_contract(rows, (b1, i, k, a_part, ce_rhs), (b2, j, l, b_part, 4 - ce_rhs))
+                           if 0 <= ce_rhs <= 4 else 0)
+                    if rhs is not None:
+                        scaled_acc += weight * (lhs - rhs)
+                        continue
+                # Otherwise evaluate in the order of the sum over all
+                # (e, f).  The f-side factors are kept in rows for this
+                # split and partition, each evaluated at its first use;
+                # each row is stored once its whole group is evaluated.
                 row_lhs: Dict[int, Value] = {}
                 row_rhs: Dict[int, Value] = {}
                 for ce in sorted({ce_lhs, ce_rhs}):
                     if not 0 <= ce <= 4:
                         continue
+                    e_lhs: List[Tuple[int, Value]] = []
+                    e_rhs: List[Tuple[int, Value]] = []
                     for e, fws in groups[ce]:
                         lhs1 = interior(b1, (i, j, e) + a_part) if ce == ce_lhs else ZERO
                         rhs1 = interior(b1, (i, k, e) + a_part) if ce == ce_rhs else ZERO
@@ -767,6 +868,10 @@ class Engine:
                         rhs1_live = isinstance(rhs1, Unknown) or bool(rhs1)
                         if not (lhs1_live or rhs1_live):
                             continue
+                        if lhs1_live:
+                            e_lhs.append((e, lhs1))
+                        if rhs1_live:
+                            e_rhs.append((e, rhs1))
                         sum_lhs = sum_rhs = ZERO
                         for f, w in fws:
                             if lhs1_live:
@@ -793,6 +898,17 @@ class Engine:
                             const_acc += weight * lhs1 * sum_lhs
                         if sum_rhs:
                             const_acc -= weight * rhs1 * sum_rhs
+                    f_size = len(groups[4 - ce])
+                    if ce == ce_lhs:
+                        _record_row(rows, (b1, i, j, a_part, ce), e_lhs)
+                        if len(row_lhs) == f_size:
+                            _record_row(rows, (b2, k, l, b_part, 4 - ce), row_lhs.items())
+                    if ce == ce_rhs:
+                        _record_row(rows, (b1, i, k, a_part, ce), e_rhs)
+                        if len(row_rhs) == f_size:
+                            _record_row(rows, (b2, j, l, b_part, 4 - ce), row_rhs.items())
+        if scaled_acc:
+            const_acc += Fraction(scaled_acc, _scaled_dual_columns()[0])
         if const_acc != 0:
             rel = rel + LinExpr(const=const_acc)
         return rel

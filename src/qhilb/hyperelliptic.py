@@ -49,10 +49,14 @@ class HyperellipticQuery:
         return (13,) * self.l + (4,) * self.k
 
 
-def beta_of(d1: int, d2: int, g: int) -> Beta:
-    """Curve class on the Hilbert square matching bidegree and genus."""
+def _check_genus(d1: int, d2: int, g: int) -> None:
     if not 0 <= g <= d1 + d2 - 1:
         raise UsageError("genus %d is outside 0..%d" % (g, d1 + d2 - 1))
+
+
+def beta_of(d1: int, d2: int, g: int) -> Beta:
+    """Curve class on the Hilbert square matching bidegree and genus."""
+    _check_genus(d1, d2, g)
     return (d2, d1, d1 + d2 - g - 1)
 
 
@@ -66,7 +70,9 @@ def seed_vanishing(d1: int, d2: int) -> bool:
 
 def forward_invariants(query: HyperellipticQuery, engine: Engine,
                        g_min: int = 0) -> Dict[int, Value]:
-    """The invariant I(g) for every admissible genus; Unknown flows through."""
+    """The invariant I(g) for every admissible genus from ``g_min`` on (a
+    genus outside 0..h_max raises UsageError); Unknown flows through."""
+    _check_genus(query.d1, query.d2, g_min)
     out: Dict[int, Value] = {}
     for g in range(g_min, query.h_max + 1):
         beta = beta_of(query.d1, query.d2, g)

@@ -129,6 +129,8 @@ class SmallQuantum:
     def __init__(self, engine: Engine, c_max: Optional[int] = None):
         self.engine = engine
         self.c_max = engine.c_max if c_max is None else c_max
+        if type(self.c_max) is not int or self.c_max < 0:
+            raise UsageError("product truncation wants an int >= 0, got %r" % (self.c_max,))
         if self.c_max > engine.c_max:
             raise UsageError(
                 "product truncation %d exceeds the engine's c_max %d"

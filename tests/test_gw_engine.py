@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from qhilb.chow import CohVector, UsageError
+from qhilb.chow import CODIM, CohVector, UsageError, dual_groups
 from qhilb.gw_engine import (
+    _EMPTY_ROW,
     _SEED_RULES,
     ConsistencyError,
     Engine,
@@ -14,6 +15,9 @@ from qhilb.gw_engine import (
     SeedTable,
     Unknown,
     _Context,
+    _contract,
+    _make_row,
+    _scaled_dual_columns,
     dimension_check,
     dimension_classes,
     iota_beta,
@@ -423,6 +427,51 @@ def test_work_counters_pinned(beta, ins, value, wdvv, solver):
     eng = Engine(c_max=2)
     assert eng.invariant(beta, ins) == value
     assert eng.stats == {"wdvv_instances": wdvv, "solver_instances": solver}
+
+
+def test_interior_lookups_pinned(monkeypatch):
+    # the interior lookups one cold query makes: a sum whose rows are all
+    # stored contracts them instead of looking each entry up again (the
+    # loop without rows made 8,434 lookups here)
+    calls = [0]
+    lookup = Engine._invariant
+
+    def counting(self, beta, ins):
+        calls[0] += 1
+        return lookup(self, beta, ins)
+
+    monkeypatch.setattr(Engine, "_invariant", counting)
+    eng = Engine(c_max=2)
+    assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
+    assert calls[0] == 2881
+    assert eng.stats == {"wdvv_instances": 322, "solver_instances": 111}
+
+
+def test_row_contraction_is_exact():
+    # contracting two rows in integers, divided by the common denominator,
+    # equals the Fraction sum over the inverse pairing
+    denom, _ = _scaled_dual_columns()
+    assert denom == 2
+    rng = random.Random(7)
+    for ce in range(5):
+        e_vals = {e: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 3)))
+                  for e, _ in dual_groups() if CODIM[e] == ce}
+        f_vals = {f: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 5)))
+                  for f, _ in dual_groups() if CODIM[f] == 4 - ce}
+        rows = {"e": _make_row(e_vals.items()), "f": _make_row(f_vals.items())}
+        want = sum((e_vals[e] * w * f_vals[f] for e, fws in dual_groups()
+                    if CODIM[e] == ce for f, w in fws), Fraction(0))
+        assert Fraction(_contract(rows, "e", "f"), denom) == want
+        for _, v in rows["e"][0] + rows["f"][0]:
+            assert v and (type(v) is int or v.denominator > 1)
+    assert _make_row([(4, Fraction(0)), (5, Fraction(0))]) is _EMPTY_ROW
+    # a row holding an Unknown is not contracted
+    rows = {"e": _make_row([(4, Unknown("x"))]), "f": _make_row([(9, Fraction(1))]),
+            "empty": _make_row([])}
+    assert _contract(rows, "e", "f") is None
+    assert _contract(rows, "f", "e") is None
+    assert _contract(rows, "empty", "missing") == 0
+    assert _contract(rows, "missing", "f") is None
 
 
 def test_trace_records():

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from qhilb.chow import UsageError
-from qhilb.gw_engine import Unknown
+from qhilb.gw_engine import Engine, Unknown
 from qhilb.hyperelliptic import (
     HyperellipticQuery,
     beta_of,
@@ -90,6 +90,18 @@ def test_h_range_respected():
     # a genus without its invariant gets no count, nor does any genus below
     assert invert_counts({}, 1, 1).counts == {}
     assert invert_counts({0: Fraction(1), 2: Fraction(0)}, 1, 2).counts == {2: 0}
+
+
+def test_g_min_outside_genus_range_rejected():
+    # a g_min outside 0..d1+d2-1 is a usage error, not an empty table
+    eng = Engine(c_max=2)
+    q = HyperellipticQuery(1, 1)
+    for g_min in (-1, 2, 5):
+        with pytest.raises(UsageError):
+            count_table(q, eng, g_min=g_min)
+        with pytest.raises(UsageError):
+            forward_invariants(q, eng, g_min=g_min)
+    assert list(forward_invariants(q, eng, g_min=1)) == [1]
 
 
 # -- engine-backed columns ---------------------------------------------------------

@@ -41,6 +41,18 @@ def test_q_of_beta():
         q_of_beta((-1, 0, 0))
 
 
+@pytest.mark.parametrize("c_max", [-1, True, 2.0, "2", 3])
+def test_small_quantum_checks_c_max(c_max):
+    # a truncation order that is not an int in 0..engine.c_max is refused
+    # when the ring is built, not at its first product
+    with pytest.raises(UsageError):
+        SmallQuantum(Engine(c_max=2), c_max)
+
+
+def test_small_quantum_accepts_c_max_zero():
+    assert SmallQuantum(Engine(c_max=2), 0).c_max == 0
+
+
 # -- small products ---------------------------------------------------------------
 
 def test_product_t4_t4(ring):

@@ -5,7 +5,9 @@ one with ``reference_wdvv``'s.  They must agree exactly: the same values
 and the same first Unknown, the same instances in the same order, the
 same counters and origin notes.  The only keys the reference evaluates
 and the engine does not are ones the dimension or fundamental-class
-axiom makes zero.
+axiom makes zero.  The warm-engine cases run many queries on one engine,
+so that instances meet interior rows stored by earlier ones and contract
+them instead of looking their entries up.
 """
 
 import pytest
@@ -14,8 +16,9 @@ from qhilb.gw_engine import Engine, Unknown, _Context, dimension_check
 from reference_wdvv import use_reference_loop
 
 
-def _engines(c_max):
-    new, ref = Engine(c_max=c_max), use_reference_loop(Engine(c_max=c_max))
+def _engines(c_max, **options):
+    new = Engine(c_max=c_max, **options)
+    ref = use_reference_loop(Engine(c_max=c_max, **options))
     new.tracing = ref.tracing = True
     return new, ref
 
@@ -38,7 +41,28 @@ def _as_tuple(expr):
     return expr.const, expr.coeffs, _reason(expr.poison)
 
 
-@pytest.mark.parametrize("c_max, beta, ins, poison", [
+def _assert_same_reduction(new, ref, beta, ins):
+    got, want = new.invariant(beta, ins), ref.invariant(beta, ins)
+    assert type(got) is type(want) and got == want  # Unknowns: by reason
+    return got
+
+
+def _assert_same_instance(new, ref, corners, extra, beta):
+    # the two-point keys at beta open, as in the two-point solver
+    def open_rule(key):
+        return key[0] == beta and len(key[1]) <= 2
+    got = new._instance_expr(corners, extra, beta, _Context(open_rule))
+    want = ref._instance_expr(corners, extra, beta, _Context(open_rule))
+    assert _as_tuple(got) == _as_tuple(want)
+    got = new.wdvv_instance(*corners, extra, beta)
+    want = ref.wdvv_instance(*corners, extra, beta)
+    assert _as_tuple(got) == _as_tuple(want)
+    got = new.wdvv_residual(*corners, extra, beta)
+    want = ref.wdvv_residual(*corners, extra, beta)
+    assert type(got) is type(want) and got == want
+
+
+REDUCTIONS = [
     (2, (1, 1, 2), (4, 4, 13), None),        # double-T4 instances, two-point solver
     (2, (1, 1, 1), (4, 4, 4, 12), None),     # multi-T4 peels with one extra
     (2, (1, 1, 1), (5, 12, 12), None),       # divisor-subring reduction
@@ -48,17 +72,9 @@ def _as_tuple(expr):
     (1, (1, 2, 1), (4, 4, 4, 4, 4, 12), "requires <T4^5>_(0,2,0) seed"),
     # an interior factor sits beyond c_max
     (1, (1, 1, 2), (4, 4, 5, 10), "exceeds c_max=1"),
-])
-def test_reduction_matches_reference(c_max, beta, ins, poison):
-    new, ref = _engines(c_max)
-    got, want = new.invariant(beta, ins), ref.invariant(beta, ins)
-    assert type(got) is type(want) and got == want  # Unknowns: by reason
-    assert (poison is None) == (_reason(got) is None)
-    assert poison is None or poison in got.reason
-    _assert_same_engine_state(new, ref)
+]
 
-
-@pytest.mark.parametrize("c_max, corners, extra, beta", [
+INSTANCES = [
     (1, (1, 12, 4, 7), (), (1, 1, 1)),      # solver rows: three open keys
     (1, (2, 11, 4, 4), (), (1, 1, 1)),
     (2, (13, 5, 1, 2), (), (1, 1, 2)),
@@ -72,19 +88,42 @@ def test_reduction_matches_reference(c_max, beta, ins, poison):
     (2, (1, 4, 2, 7), (5, 5), (1, 1, 1)),   # partition weight 2 on the (ij|kl) side
     (2, (4, 12, 2, 3), (4, 5), (1, 1, 1)),  # off balance: no term passes
     (1, (4, 12, 2, 3), (4,), (1, 1, 2)),    # residual poisoned: beyond c_max
-])
+]
+
+
+@pytest.mark.parametrize("c_max, beta, ins, poison", REDUCTIONS)
+def test_reduction_matches_reference(c_max, beta, ins, poison):
+    new, ref = _engines(c_max)
+    got = _assert_same_reduction(new, ref, beta, ins)
+    assert (poison is None) == (_reason(got) is None)
+    assert poison is None or poison in got.reason
+    _assert_same_engine_state(new, ref)
+
+
+@pytest.mark.parametrize("c_max, corners, extra, beta", INSTANCES)
 def test_instances_match_reference(c_max, corners, extra, beta):
     new, ref = _engines(c_max)
-    # the two-point keys at beta open, as in the two-point solver
-    def open_rule(key):
-        return key[0] == beta and len(key[1]) <= 2
-    got = new._instance_expr(corners, extra, beta, _Context(open_rule))
-    want = ref._instance_expr(corners, extra, beta, _Context(open_rule))
-    assert _as_tuple(got) == _as_tuple(want)
-    got = new.wdvv_instance(*corners, extra, beta)
-    want = ref.wdvv_instance(*corners, extra, beta)
-    assert _as_tuple(got) == _as_tuple(want)
-    got = new.wdvv_residual(*corners, extra, beta)
-    want = ref.wdvv_residual(*corners, extra, beta)
-    assert type(got) is type(want) and got == want
+    _assert_same_instance(new, ref, corners, extra, beta)
+    _assert_same_engine_state(new, ref)
+
+
+@pytest.mark.parametrize("c_max", [1, 2])
+def test_warm_engine_matches_reference(c_max):
+    # one engine pair runs a heavy reduction, then every listed reduction
+    # and instance at its c_max, in turn
+    new, ref = _engines(c_max)
+    _assert_same_reduction(new, ref, (1, 2, 1), (4, 4, 4, 4, 13))
+    for case_c_max, beta, ins, _ in REDUCTIONS:
+        if case_c_max == c_max:
+            _assert_same_reduction(new, ref, beta, ins)
+    for case_c_max, corners, extra, beta in INSTANCES:
+        if case_c_max == c_max:
+            _assert_same_instance(new, ref, corners, extra, beta)
+    _assert_same_engine_state(new, ref)
+
+
+def test_non_integral_interior_values_match_reference():
+    # a planted non-integral seed puts non-integral values into interior rows
+    new, ref = _engines(2, seed_overrides=["1,0,1 | 5 10 | 1/3 | planted"])
+    _assert_same_reduction(new, ref, (1, 1, 1), (4, 4, 4, 12))
     _assert_same_engine_state(new, ref)
