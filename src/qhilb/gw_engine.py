@@ -41,6 +41,16 @@ disjoint sets of raw interior keys, so there are no more rows than such
 keys.  A sum whose rows are all stored and free of Unknowns contracts
 them in integers instead of looking the entries up again.
 
+The four boundary terms of an associativity instance are compiled once
+per (corners, extra) shape by the cached ``_boundary_terms``: the cup
+products are expanded into (sorted insertions, signed coefficient) pairs
+that do not depend on the class, in the order the residual visits them,
+so recursion order and the first Unknown do not change.  Equal insertion
+tuples are never merged, because a key whose coefficients cancel must
+still be reduced: if it is Unknown, its poison still reaches the residual.
+Each instance then normalizes and reduces the compiled terms at its class
+and folds them, and the interior sum, into one fresh ``LinExpr``.
+
 Values and keys are immutable; all three tables follow a single-writer
 contract (concurrent reads are fine, writes must be serialized by the
 caller).  Everything here is deterministic and single-threaded by default.
@@ -255,16 +265,18 @@ def _record_row(rows: Dict[tuple, _Row], key: tuple, values: Iterable[Tuple[int,
         rows[key] = _make_row(values)
 
 
-def _contract(rows: Dict[tuple, _Row], e_key: tuple, f_key: tuple):
+def _contract(rows: Dict[tuple, _Row], e_key: tuple, b: Beta, x: int, y: int,
+              part: Insertions, codim: int):
     """D times sum over (e, f) of e_row[e] g^{ef} f_row[f], from stored
-    rows: None unless the e-row is stored and free of Unknowns and, when
-    it has a nonzero entry, so is the f-row."""
+    rows, the f-row keyed by (b, x, y, part, codim): None unless the e-row
+    is stored and free of Unknowns and, when it has a nonzero entry, so is
+    the f-row.  The f-row key is built only in that case."""
     e_row = rows.get(e_key)
     if e_row is None or e_row[1] is None:
         return None
     if not e_row[0]:
         return 0
-    f_row = rows.get(f_key)
+    f_row = rows.get((b, x, y, part, codim))
     if f_row is None or f_row[1] is None:
         return None
     image = f_row[1]
@@ -305,6 +317,24 @@ def _expand(insertions: Iterable) -> Iterator[Tuple[Insertions, Union[int, Fract
         for _, c in combo:
             coeff *= c
         yield tuple(sorted(t for t, _ in combo)), coeff
+
+
+@lru_cache(maxsize=None)
+def _boundary_terms(corners: Tuple[int, int, int, int],
+                    extra: Insertions) -> Tuple[Tuple[Insertions, Union[int, Fraction]], ...]:
+    """The four boundary terms of an associativity instance, expanded:
+    (sorted insertions, signed coefficient) in the order the residual
+    visits them, +[i, j, k.l], +[i.j, k, l], -[i, k, j.l], -[i.k, j, l]
+    (each followed by ``extra``), each in ``_expand`` order.  Equal
+    insertion tuples are never merged: a key whose coefficients cancel is
+    still reduced, so an Unknown it carries still poisons the residual.
+    Cached like ``splittings``; the class only enters at normalization."""
+    i, j, k, l = corners
+    out = []
+    for sign, raw in ((1, (i, j, cup_basis(k, l))), (1, (cup_basis(i, j), k, l)),
+                      (-1, (i, k, cup_basis(j, l))), (-1, (cup_basis(i, k), j, l))):
+        out.extend((ins, sign * coeff) for ins, coeff in _expand(raw + extra))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +618,20 @@ class LinExpr:
             return LinExpr()
         return LinExpr(self.const * c, {k: v * c for k, v in self.coeffs.items()}, self.poison)
 
+    def add_scaled(self, other: "LinExpr", c) -> None:
+        """In place: self += c * other, keeping the first poison and dropping
+        coefficients that reach zero.  Only for a fresh accumulator."""
+        if self.poison is None:
+            self.poison = other.poison
+        self.const += other.const * c
+        coeffs = self.coeffs
+        for k, v in other.coeffs.items():
+            total = coeffs.get(k, 0) + v * c
+            if total:
+                coeffs[k] = total
+            else:
+                del coeffs[k]
+
     def value(self) -> Value:
         if self.poison is not None:
             return self.poison
@@ -600,7 +644,7 @@ class LinExpr:
 
 
 ZERO = Fraction(0)
-ZERO_EXPR = LinExpr()
+ZERO_EXPR = LinExpr()  # never mutated; tests/reference_wdvv.py sums from it
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +703,8 @@ class Engine:
     def __init__(self, c_max: int = 6, enable_bidegree_vanishing: bool = False,
                  seed_overrides: Optional[Iterable[str]] = None,
                  disabled_seed_rules: Iterable[str] = ()):
+        if type(c_max) is not int or c_max < 0:
+            raise UsageError("c_max wants an int >= 0, got %r" % (c_max,))
         self.c_max = c_max
         self.seeds = SeedTable(enable_bidegree_vanishing, disabled_seed_rules)
         if seed_overrides is not None:
@@ -799,30 +845,23 @@ class Engine:
             " ".join(chow.BASIS_NAMES[i] for i in ins), (beta,))
         return LinExpr(poison=Unknown(reason))
 
-    def _term_expr(self, beta: Beta, raw: List, ctx: "_Context") -> LinExpr:
-        """Reduce one boundary term: a list of basis indices and CohVectors."""
-        total = ZERO_EXPR
-        for ins, coeff in _expand(raw):
-            factor, key = self._normalize(beta, ins)
-            if key is None:
-                continue
-            total = total + self._reduce_key(key, ctx).scale(coeff * factor)
-        return total
-
     def _instance_expr(self, corners, extra: Insertions, beta: Beta, ctx: "_Context") -> LinExpr:
         """Residual of one associativity instance: identically zero.
 
         corners (i, j, k, l): the equation couples the pairing (ij|kl)
         against (ik|jl) over all splittings of ``beta`` and labelled
         partitions of ``extra``.  Interior factors sit at smaller classes
-        and are evaluated numerically.
+        and are evaluated numerically.  The result is a fresh LinExpr that
+        no table shares, so callers may mutate it.
         """
         i, j, k, l = corners
-        rel = ZERO_EXPR
-        rel = rel + self._term_expr(beta, [i, j, cup_basis(k, l), *extra], ctx)
-        rel = rel + self._term_expr(beta, [cup_basis(i, j), k, l, *extra], ctx)
-        rel = rel - self._term_expr(beta, [i, k, cup_basis(j, l), *extra], ctx)
-        rel = rel - self._term_expr(beta, [cup_basis(i, k), j, l, *extra], ctx)
+        rel = LinExpr()  # the one accumulator, mutated only here
+        normalize = self._normalize
+        reduce_key = self._reduce_key
+        for ins, coeff in _boundary_terms(corners, extra):
+            factor, key = normalize(beta, ins)
+            if key is not None:
+                rel.add_scaled(reduce_key(key, ctx), coeff * factor)
         partitions = _multiset_splits(extra)
         groups = _dual_groups_by_codim()
         interior = self._invariant
@@ -842,10 +881,10 @@ class Engine:
                 # When every row this visit reads is stored and free of
                 # Unknowns, its lookups would all be memo hits: contract
                 # the rows instead.
-                lhs = (_contract(rows, (b1, i, j, a_part, ce_lhs), (b2, k, l, b_part, 4 - ce_lhs))
+                lhs = (_contract(rows, (b1, i, j, a_part, ce_lhs), b2, k, l, b_part, 4 - ce_lhs)
                        if 0 <= ce_lhs <= 4 else 0)
                 if lhs is not None:
-                    rhs = (_contract(rows, (b1, i, k, a_part, ce_rhs), (b2, j, l, b_part, 4 - ce_rhs))
+                    rhs = (_contract(rows, (b1, i, k, a_part, ce_rhs), b2, j, l, b_part, 4 - ce_rhs)
                            if 0 <= ce_rhs <= 4 else 0)
                     if rhs is not None:
                         scaled_acc += weight * (lhs - rhs)
@@ -909,8 +948,7 @@ class Engine:
                             _record_row(rows, (b2, j, l, b_part, 4 - ce), row_rhs.items())
         if scaled_acc:
             const_acc += Fraction(scaled_acc, _scaled_dual_columns()[0])
-        if const_acc != 0:
-            rel = rel + LinExpr(const=const_acc)
+        rel.const += const_acc
         return rel
 
     def _reduce_by_wdvv(self, key: Key, ctx: "_Context") -> Tuple[LinExpr, InstanceRecord]:

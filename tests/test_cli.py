@@ -1,7 +1,13 @@
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhilb.cli import main
 
@@ -258,3 +264,59 @@ def test_gamma_command(capsys):
     code, out, _ = run(capsys, "--cmax", "1", "--ytrunc", "0", "gamma", "T3", "T3", "T8")
     assert code == 0
     assert "beta=(0, 0, 1)" in out
+
+
+# -- fuzz over argv ---------------------------------------------------------------
+
+# well-formed tokens are drawn more often than garbled ones, so that most
+# examples get past parsing and into the engine
+_NUMBER = st.one_of(st.integers(1, 2).map(str), st.integers(-1, 3).map(str),
+                    st.sampled_from(["x", "", "1.5", "9" * 20]))
+_CLASS = st.one_of(
+    st.tuples(*[st.integers(0, 2)] * 3).map("{0[0]},{0[1]},{0[2]}".format),
+    st.tuples(*[st.integers(-1, 2)] * 3).map("{0[0]},{0[1]},{0[2]}".format),
+    st.sampled_from(["1,0", "1,,1", "a,b,c", "1,0,1,2", " 1, 0, 1", "", "1,0,1.0"]))
+_INSERTION = st.one_of(
+    st.builds("T{}^{}".format, st.integers(1, 13), st.integers(0, 4)),
+    st.builds("T{}".format, st.integers(1, 13)),
+    st.builds("{}^{}".format, st.integers(-1, 15), st.integers(-1, 8)),
+    st.sampled_from(["T", "^", "T4^", "4^x", "T4 T13", "T1.5", "t4", "T4^^2", "", "T14"]))
+
+
+@st.composite
+def _argv(draw):
+    argv = ["--cmax", str(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json", "csv", "json", "xml"]))]
+    if draw(st.booleans()):
+        argv.append("--enable-bidegree-vanishing")
+    command = draw(st.sampled_from(["invariant", "product", "hyper", "verify", "seeds-export"]))
+    argv.append(command)
+    if command == "invariant":
+        if draw(st.integers(0, 5)):
+            argv += ["--beta", draw(_CLASS)]
+        argv += ["--ins"] + draw(st.lists(_INSERTION, min_size=1, max_size=5))
+    elif command == "product":
+        # two classes half the time, one to three otherwise
+        argv += draw(st.lists(_INSERTION, min_size=2, max_size=2)
+                     | st.lists(_INSERTION, min_size=1, max_size=3))
+    elif command == "hyper":
+        for flag in ("--d1", "--d2", "--l"):
+            if draw(st.integers(0, 5)):
+                argv += [flag, draw(_NUMBER)]
+    elif command == "verify":
+        argv += ["--id"] + draw(st.lists(_NUMBER, min_size=0, max_size=2))
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fuzzed_argv_exits_cleanly(argv):
+    # whatever the tokens, main returns one of the documented exit codes;
+    # an exception escaping it would be a traceback for the user
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("QHILB_SEEDS", None)
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

@@ -14,6 +14,7 @@ from qhilb.gw_engine import (
     LinExpr,
     SeedTable,
     Unknown,
+    _boundary_terms,
     _Context,
     _contract,
     _make_row,
@@ -447,9 +448,30 @@ def test_interior_lookups_pinned(monkeypatch):
     assert eng.stats == {"wdvv_instances": 322, "solver_instances": 111}
 
 
+def test_boundary_compiled_once_per_shape():
+    # each (corners, extra) shape is expanded once: every instance the
+    # query builds (WDVV reductions and solver rows) is one cache lookup
+    _boundary_terms.cache_clear()
+    eng = Engine(c_max=2)
+    assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
+    info = _boundary_terms.cache_info()
+    assert (info.misses, info.hits) == (129, 304)
+    assert info.hits + info.misses == eng.stats["wdvv_instances"] + eng.stats["solver_instances"]
+
+
+def test_add_scaled_accumulates_in_place():
+    acc = LinExpr()
+    a, b = ((1, 0, 1), (5, 10)), ((1, 0, 1), (6, 10))
+    acc.add_scaled(LinExpr(2, {a: Fraction(1), b: Fraction(3)}), Fraction(1, 2))
+    acc.add_scaled(LinExpr(1, {a: Fraction(1, 2)}, poison=Unknown("first")), -1)
+    acc.add_scaled(LinExpr(poison=Unknown("second")), 5)
+    assert (acc.const, acc.coeffs, acc.poison) == (0, {b: Fraction(3, 2)}, Unknown("first"))
+
+
 def test_row_contraction_is_exact():
     # contracting two rows in integers, divided by the common denominator,
-    # equals the Fraction sum over the inverse pairing
+    # equals the Fraction sum over the inverse pairing; the f-row is named
+    # by its key's parts (class, x, y, partition, codimension)
     denom, _ = _scaled_dual_columns()
     assert denom == 2
     rng = random.Random(7)
@@ -458,20 +480,22 @@ def test_row_contraction_is_exact():
                   for e, _ in dual_groups() if CODIM[e] == ce}
         f_vals = {f: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 5)))
                   for f, _ in dual_groups() if CODIM[f] == 4 - ce}
-        rows = {"e": _make_row(e_vals.items()), "f": _make_row(f_vals.items())}
+        e_key, f_key = ((1, 0, 0), 4, 5, (), ce), ((0, 1, 0), 6, 7, (4,), 4 - ce)
+        rows = {e_key: _make_row(e_vals.items()), f_key: _make_row(f_vals.items())}
         want = sum((e_vals[e] * w * f_vals[f] for e, fws in dual_groups()
                     if CODIM[e] == ce for f, w in fws), Fraction(0))
-        assert Fraction(_contract(rows, "e", "f"), denom) == want
-        for _, v in rows["e"][0] + rows["f"][0]:
+        assert Fraction(_contract(rows, e_key, *f_key), denom) == want
+        for _, v in rows[e_key][0] + rows[f_key][0]:
             assert v and (type(v) is int or v.denominator > 1)
     assert _make_row([(4, Fraction(0)), (5, Fraction(0))]) is _EMPTY_ROW
     # a row holding an Unknown is not contracted
-    rows = {"e": _make_row([(4, Unknown("x"))]), "f": _make_row([(9, Fraction(1))]),
-            "empty": _make_row([])}
-    assert _contract(rows, "e", "f") is None
-    assert _contract(rows, "f", "e") is None
-    assert _contract(rows, "empty", "missing") == 0
-    assert _contract(rows, "missing", "f") is None
+    e_key, f_key, empty, missing = (((1, 0, 0), 1, 1, (), c) for c in range(4))
+    rows = {e_key: _make_row([(4, Unknown("x"))]), f_key: _make_row([(9, Fraction(1))]),
+            empty: _make_row([])}
+    assert _contract(rows, e_key, *f_key) is None
+    assert _contract(rows, f_key, *e_key) is None
+    assert _contract(rows, empty, *missing) == 0
+    assert _contract(rows, missing, *f_key) is None
 
 
 def test_trace_records():

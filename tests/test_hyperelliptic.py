@@ -15,6 +15,7 @@ from qhilb.hyperelliptic import (
     invert_counts,
     seed_vanishing,
 )
+from oracle_quadric import rational_count
 
 
 # -- index bookkeeping ---------------------------------------------------------
@@ -113,8 +114,10 @@ def test_column_1_1_l1(engine):
 
 
 def test_column_2_2_l2(engine):
-    # frozen engine-derived golden values (not external ground truth):
-    # one genus-1 curve and twelve genus-0 curves meet the constraints
+    # frozen engine-derived golden values: one genus-1 curve and twelve
+    # genus-0 curves meet the constraints; the genus-0 entry is checked
+    # against oracle_quadric (test_genus_zero_two_pairs_is_kontsevich_manin),
+    # the genus-1 entry is not externally checked
     q = HyperellipticQuery(2, 2, l=2)
     table = count_table(q, engine)
     assert table.counts == {0: Fraction(12), 1: Fraction(1), 2: Fraction(0), 3: Fraction(0)}
@@ -157,11 +160,31 @@ def test_column_3_2_l1_with_vanishing(engine_bidegree):
 
 
 def test_columns_3_2_higher_conjugate_pairs(engine_bidegree):
-    # frozen engine-derived goldens for the first non-vanishing bidegree
+    # frozen engine-derived goldens for the first non-vanishing bidegree;
+    # the l = 2 genus-0 entry, 96, is checked against oracle_quadric, the
+    # other entries are not externally checked
     t2 = count_table(HyperellipticQuery(3, 2, l=2), engine_bidegree)
     assert t2.counts == {0: Fraction(96), 1: Fraction(16), 2: 0, 3: 0, 4: 0}
     t3 = count_table(HyperellipticQuery(3, 2, l=3), engine_bidegree)
     assert t3.counts == {0: Fraction(30), 1: Fraction(6), 2: 0, 3: 0, 4: 0}
+
+
+def test_kontsevich_manin_oracle_values():
+    assert [rational_count(d, 1) for d in range(1, 6)] == [1] * 5
+    assert [rational_count(*ab) for ab in ((2, 2), (3, 2), (4, 2), (3, 3))] == [12, 96, 640, 3510]
+    assert rational_count(2, 3) == rational_count(3, 2)
+    assert rational_count(2, 0) == 0
+
+
+def test_genus_zero_two_pairs_is_kontsevich_manin(engine_bidegree):
+    # two general pairs of points on P1 are the fibres of exactly one g^1_2,
+    # so with l = 2 conjugate pairs the genus-0 count is the number of
+    # rational curves through 2 d1 + 2 d2 - 1 points (external oracle)
+    columns = [(d1, s - d1) for s in range(3, 6) for d1 in range(1, s)]
+    assert len(columns) == 9
+    for d1, d2 in columns:
+        table = count_table(HyperellipticQuery(d1, d2, l=2), engine_bidegree)
+        assert table.counts[0] == rational_count(d1, d2), (d1, d2)
 
 
 def test_vanishing_flag_is_conservative(engine, engine_bidegree):

@@ -49,6 +49,19 @@ def test_small_quantum_checks_c_max(c_max):
         SmallQuantum(Engine(c_max=2), c_max)
 
 
+@pytest.mark.parametrize("c_max", [-1, True, 2.5, 2.0, "3", None])
+def test_engine_checks_c_max(c_max):
+    # the engine refuses the same truncation orders when it is built, not
+    # at the first query that compares against c_max
+    with pytest.raises(UsageError):
+        Engine(c_max=c_max)
+
+
+def test_engine_accepts_c_max_zero():
+    table = Engine(c_max=0).derive_two_point_table()
+    assert table and all(beta[2] == 0 for beta, _ in table)
+
+
 def test_small_quantum_accepts_c_max_zero():
     assert SmallQuantum(Engine(c_max=2), 0).c_max == 0
 

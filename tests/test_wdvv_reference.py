@@ -10,9 +10,13 @@ so that instances meet interior rows stored by earlier ones and contract
 them instead of looking their entries up.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from qhilb.gw_engine import Engine, Unknown, _Context, dimension_check
+from qhilb.gw_engine import (Engine, LinExpr, Unknown, _boundary_terms, _Context,
+                             _corner_quadruples, dimension_check)
+from reference_wdvv import _instance_expr as reference_instance_expr
 from reference_wdvv import use_reference_loop
 
 
@@ -88,6 +92,9 @@ INSTANCES = [
     (2, (1, 4, 2, 7), (5, 5), (1, 1, 1)),   # partition weight 2 on the (ij|kl) side
     (2, (4, 12, 2, 3), (4, 5), (1, 1, 1)),  # off balance: no term passes
     (1, (4, 12, 2, 3), (4,), (1, 1, 2)),    # residual poisoned: beyond c_max
+    # the four boundary terms cancel pairwise, but the cancelling keys
+    # still poison the residual (beyond c_max); the expression opens them
+    (1, (1, 3, 3, 10), (), (1, 0, 2)),
 ]
 
 
@@ -127,3 +134,49 @@ def test_non_integral_interior_values_match_reference():
     new, ref = _engines(2, seed_overrides=["1,0,1 | 5 10 | 1/3 | planted"])
     _assert_same_reduction(new, ref, (1, 1, 1), (4, 4, 4, 12))
     _assert_same_engine_state(new, ref)
+
+
+class _TermRecorder:
+    """Stands in for the engine under the reference loop: every expanded
+    boundary term becomes its own symbol, numbered in visiting order, so
+    the residual lists each term with its signed coefficient, unmerged.
+    At the zero class there are no splittings, hence no interior sum."""
+
+    _invariant = None
+
+    def __init__(self):
+        self.visits = 0
+
+    def _normalize(self, beta, ins):
+        return Fraction(1), (beta, ins)
+
+    def _reduce_key(self, key, ctx):
+        self.visits += 1
+        return LinExpr.symbol((self.visits, key[1]))
+
+
+@pytest.mark.parametrize("total_codim", [4, 5, 6, 8])
+def test_boundary_terms_match_reference_expansion(total_codim):
+    # the compiled boundary is the reference's CohVector expansion: the
+    # same terms in the same order with the same signed coefficients
+    for corners in _corner_quadruples(total_codim):
+        for extra in ((), (4,), (5,), (8,), (4, 4)):
+            rel = reference_instance_expr(_TermRecorder(), corners, extra, (0, 0, 0), None)
+            want = [(ins, c) for (_, ins), c in rel.coeffs.items()]
+            assert [n for n, _ in rel.coeffs] == list(range(1, len(want) + 1))
+            assert list(_boundary_terms(corners, extra)) == want, (corners, extra)
+
+
+def test_cancelling_boundary_terms_still_poison():
+    # the boundary of this instance cancels pairwise: the keys are reduced
+    # all the same, so the residual is the Unknown one of them carries
+    eng = Engine(c_max=1)
+    terms = _boundary_terms((1, 3, 3, 10), ())
+    sums = {}
+    for ins, c in terms:
+        sums[ins] = sums.get(ins, 0) + c
+    assert terms and not any(sums.values())
+    got = eng.wdvv_residual(1, 3, 3, 10, (), (1, 0, 2))
+    assert got == Unknown("exceeds c_max=1 at ((1, 0, 2),)")
+    expr = eng.wdvv_instance(1, 3, 3, 10, (), (1, 0, 2))
+    assert (expr.const, expr.coeffs, expr.poison) == (0, {}, None)
