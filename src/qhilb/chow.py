@@ -14,12 +14,15 @@ where C1, C2, F span the curve classes, normalised against the divisors by
 C1.T2 = 1, C2.T1 = 1, F.T3 = 1 and all other pairings zero.  Curve classes
 are identified with their Poincare-dual codimension-3 classes.
 
-Products are computed by normal-form rewriting of generator monomials
-against the classical (q = 0) relations of the quantum presentation; the
-resulting cup table is cross-checked in the test suite against an
-independent model of the ring (Z/2-invariants of the blown-up product of
-two quadrics).  ``pairing()`` holds the intersection pairing g and its
-exact inverse g_inv; the sums over the inverse pairing read g_inv through
+Each basis class is a word in the generators (``GENERATOR_WORDS``: T10 =
+T2.T4, T11 = T1.T4, T12 = T3.T4, T13 = T4.T4).  A product of generators is
+rewritten against the classical (q = 0) relations of the quantum
+presentation until no rule applies; the monomials left are exactly the
+basis words, so their coefficients are the coordinates.  The resulting
+cup table is cross-checked in the test suite against an independent model
+of the ring (Z/2-invariants of the blown-up product of two quadrics).
+``pairing()`` holds the intersection pairing g and its exact inverse
+g_inv; the sums over the inverse pairing read g_inv through
 ``dual_groups()``, and ``dual_basis()`` is its rows as classes.
 """
 
@@ -177,17 +180,14 @@ def _apply(rule, m: Mono) -> List[Tuple[Fraction, Mono]]:
     ]
 
 
-# Terminal monomials of degree <= 2 and their basis classes.
-_TERMINAL = {
-    (0, 0, 0, 0): 0,
-    (1, 0, 0, 0): 1, (0, 1, 0, 0): 2, (0, 0, 1, 0): 3,
-    (0, 0, 0, 1): 4,
-    (1, 1, 0, 0): 5, (2, 0, 0, 0): 6, (0, 2, 0, 0): 7,
-    (1, 0, 1, 0): 8, (0, 1, 1, 0): 9,
-}
+# Each basis class is its generator word; the rules leave exactly these
+# exponent vectors irreducible, so they are the terminal monomials.
+_TERMINAL = {tuple(w.count(g) for g in (1, 2, 3, 4)): i
+             for i, w in enumerate(GENERATOR_WORDS)}
 
-# Pairing of the curve-class basis T10, T11, T12 against the divisors
-# T1, T2, T3: row e, column d gives the intersection number.
+# The normalisation of the curve-class basis T10, T11, T12 against the
+# divisors T1, T2, T3 that the rewriting realises: row e, column d gives
+# the intersection number.
 CURVE_DIVISOR_PAIRING = ((1, 0, 1), (0, 1, 1), (1, 1, 1))
 
 
@@ -219,42 +219,6 @@ def _reduce_combination(combo: Dict[Mono, Fraction], rng: Optional[random.Random
                 del work[m2]
 
 
-def _monomial_integral(m: Mono) -> Fraction:
-    """Integral of a degree-4 generator monomial over the whole space."""
-    if _deg(m) != 4:
-        raise ValueError("integral wants total degree 4, got %r" % (m,))
-    reduced = _reduce_combination({m: Fraction(1)}, None)
-    total = Fraction(0)
-    for mono, coeff in reduced.items():
-        if mono == (0, 0, 0, 2):
-            total += coeff  # the square of T4 is the point class
-        else:
-            raise RingConsistencyError("degree-4 reduction left %r" % (mono,))
-    return total
-
-
-@lru_cache(maxsize=1)
-def _curve_pairing_inverse():
-    rows = [[Fraction(v) for v in row] for row in CURVE_DIVISOR_PAIRING]
-    return _invert_matrix(rows)
-
-
-def _codim3_to_basis(m: Mono) -> CohVector:
-    """Resolve a terminal codimension-3 monomial into T10, T11, T12 by
-    pairing against the divisors and solving the 3x3 system fixed by the
-    curve-divisor intersection numbers."""
-    p = []
-    for d in range(3):
-        bumped = tuple(n + (1 if i == d else 0) for i, n in enumerate(m))
-        p.append(_monomial_integral(bumped))
-    # x = sum x_e T_{10+e} with sum_e x_e CURVE_DIVISOR_PAIRING[e][d] = p[d]
-    inv = _curve_pairing_inverse()
-    out = [Fraction(0)] * BASIS_SIZE
-    for e in range(3):
-        out[10 + e] = sum(p[d] * inv[d][e] for d in range(3))
-    return CohVector(out)
-
-
 def normal_form(monomial: Iterable[int], rng: Optional[random.Random] = None) -> CohVector:
     """Express a product of generators (indices in {1,2,3,4}) in the basis.
 
@@ -267,26 +231,13 @@ def normal_form(monomial: Iterable[int], rng: Optional[random.Random] = None) ->
         if g not in (1, 2, 3, 4):
             raise UsageError("generator index must be 1..4, got %r" % (g,))
         counts[g - 1] += 1
-    m0 = tuple(counts)
-    reduced = _reduce_combination({m0: Fraction(1)}, rng)
-    result = CohVector.zero()
+    reduced = _reduce_combination({tuple(counts): Fraction(1)}, rng)
+    coords = [Fraction(0)] * BASIS_SIZE
     for m, coeff in reduced.items():
-        d = _deg(m)
-        if d > 4:
-            continue
-        if d <= 2:
-            vec = CohVector.basis(_TERMINAL[m])
-        elif d == 3:
-            vec = _codim3_to_basis(m)
-        else:
-            k = Fraction(0)
-            if m == (0, 0, 0, 2):
-                k = Fraction(1)
-            else:
-                raise RingConsistencyError("unreduced degree-4 monomial %r" % (m,))
-            vec = CohVector.basis(13).scale(k)
-        result = result + vec.scale(coeff)
-    return result
+        if m not in _TERMINAL:
+            raise RingConsistencyError("rewriting left the non-basis monomial %r" % (m,))
+        coords[_TERMINAL[m]] += coeff
+    return CohVector(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +245,9 @@ def normal_form(monomial: Iterable[int], rng: Optional[random.Random] = None) ->
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _cup_basis(i: int, j: int) -> CohVector:
-    return normal_form(GENERATOR_WORDS[i] + GENERATOR_WORDS[j])
-
-
 def cup_basis(i: int, j: int) -> CohVector:
     """Cup product of two basis classes (cached)."""
-    return _cup_basis(i, j)
+    return normal_form(GENERATOR_WORDS[i] + GENERATOR_WORDS[j])
 
 
 def cup(x: CohVector, y: CohVector) -> CohVector:
@@ -312,7 +259,7 @@ def cup(x: CohVector, y: CohVector) -> CohVector:
         for j, cj in enumerate(y.coords):
             if cj == 0:
                 continue
-            result = result + _cup_basis(i, j).scale(ci * cj)
+            result = result + cup_basis(i, j).scale(ci * cj)
     return result
 
 
@@ -365,7 +312,7 @@ class PairingMatrix:
 
 @lru_cache(maxsize=1)
 def pairing() -> PairingMatrix:
-    g = [[integrate(_cup_basis(i, j)) for j in range(BASIS_SIZE)] for i in range(BASIS_SIZE)]
+    g = [[integrate(cup_basis(i, j)) for j in range(BASIS_SIZE)] for i in range(BASIS_SIZE)]
     for i in range(BASIS_SIZE):
         for j in range(BASIS_SIZE):
             if g[i][j] != g[j][i]:
@@ -400,7 +347,7 @@ def cup_table_lines() -> List[str]:
     lines = []
     for i in range(BASIS_SIZE):
         for j in range(BASIS_SIZE):
-            coords = ",".join(rat_str(c) for c in _cup_basis(i, j).coords)
+            coords = ",".join(rat_str(c) for c in cup_basis(i, j).coords)
             lines.append("%d %d -> %s" % (i, j, coords))
     return lines
 

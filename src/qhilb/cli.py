@@ -4,7 +4,8 @@ hyperelliptic count tables, and seed import/export.
 Exit codes are a stable contract: 0 success, 1 usage or parse error (a
 seed that contradicts the associativity equations, a ``hyper --gmin``
 outside 0..d1+d2-1, a ``verify --id`` outside 1..17, and an insertion
-list that is malformed or longer than MAX_INSERTIONS included), 2 the
+list that is malformed or longer than MAX_INSERTIONS included, also the
+l + k insertions a ``hyper`` query builds), 2 the
 requested value is Unknown, 3 a relation verification failed.
 Runs are deterministic: identical inputs and configuration produce
 byte-identical output, and JSON output re-renders to itself.
@@ -222,6 +223,9 @@ def cmd_hyper(args, cfg: Config) -> int:
         raise UsageError(
             "truncation error: genus %d needs q3^%d but cmax is %d"
             % (args.gmin, needed_c, cfg.c_max))
+    if query.l + query.k > MAX_INSERTIONS:
+        raise UsageError("more than %d insertions: l + k = %d"
+                         % (MAX_INSERTIONS, query.l + query.k))
     engine = build_engine(cfg)
     table = hyperelliptic.count_table(query, engine, g_min=args.gmin)
     rows = table.rows(query.l)

@@ -100,7 +100,6 @@ def invert_counts(invariants: Dict[int, Value], d1: int, d2: int) -> "Hyperellip
     for h in range(h_max, -1, -1):
         if h not in invariants:
             break
-        assert comb(2 * h + 2, 0) == 1
         total = LinExpr.of_value(invariants[h])
         for h2 in range(h + 1, h_max + 1):
             total -= LinExpr.of_value(counts[h2]).scale(comb(2 * h2 + 2, h2 - h))

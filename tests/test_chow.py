@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -55,6 +56,18 @@ def test_normal_form_degree_four_integral():
 def test_normal_form_degree_overflow():
     assert normal_form([1, 1, 2, 2, 3]).is_zero()
     assert normal_form([4, 4, 4]).is_zero()
+
+
+def test_irreducible_monomials_are_the_basis_words():
+    # normal_form reads coordinates off the monomials no rule fits, so
+    # those must be exactly the generator words of the basis classes
+    irreducible = {
+        m for m in itertools.product(range(5), range(5), range(5), range(3))
+        if chow._deg(m) <= 4 and not any(chow._fits(rule[1], m) for rule in chow.REWRITE_RULES)
+    }
+    words = {tuple(w.count(g) for g in (1, 2, 3, 4)) for w in chow.GENERATOR_WORDS}
+    assert irreducible == words
+    assert len(words) == 14
 
 
 def test_normal_form_rejects_bad_generator():

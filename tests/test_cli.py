@@ -1,6 +1,8 @@
 import io
+import itertools
 import json
 import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhilb.cli import main
+from qhilb.gw_engine import dimension_check
 
 DATA = Path(__file__).parent / "data"
 
@@ -67,6 +70,7 @@ def test_usage_errors_exit_1(capsys, argv):
     (("verify", "--id", "0", "1"), "relation ids are 1..17, got 0"),
     (("invariant", "--beta", "1,0,1", "--ins", "T1^99999999999999999999"), "more than 1000"),
     (("invariant", "--beta", "1,0,1", "--ins", "T4^"), "bad insertion token 'T4^'"),
+    (("hyper", "--d1", "600", "--d2", "1", "--gmin", "600"), "more than 1000"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, argv, needle):
     # none of these may print a made-up answer or end in a traceback
@@ -320,3 +324,64 @@ def test_fuzzed_argv_exits_cleanly(argv):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue()
+
+
+# -- fuzz over seed-file lines ------------------------------------------------------
+
+# keys that pass the dimension axiom, so a drawn value reaches the engine;
+# (1,1,c) T4^5 is the key the hyper query below needs
+_SEED_KEYS = [((a, b, c), ins)
+              for a in range(2) for b in range(2) for c in range(3) if (a, b, c) != (0, 0, 0)
+              for n in range(1, 4)
+              for ins in itertools.combinations_with_replacement(range(1, 14), n)
+              if dimension_check((a, b, c), ins)] + [((1, 1, c), (4,) * 5) for c in range(3)]
+
+
+def _mostly(valid, broken):
+    # a line with a broken part fails as a whole, so valid parts are drawn
+    # far more often, to let most seed files reach the engine
+    return st.sampled_from([valid] * 3 * len(broken) + broken)
+
+
+@st.composite
+def _seed_line(draw):
+    beta, ins = draw(st.sampled_from(_SEED_KEYS))
+    fields = [
+        draw(_mostly("%d,%d,%d" % beta, ["1,0", "x,0,1", "-1,0,1"])),
+        draw(_mostly(" ".join(map(str, ins)), ["99", "-1 13", "T4 T14", ""])),
+        draw(st.one_of(st.fractions(min_value=-9, max_value=9, max_denominator=6).map(str),
+                       _mostly("1", ["1/0", "two", ""]))),
+        "fuzz",
+    ]
+    # a line that loses its last fields misses a '|'
+    return " | ".join(fields[:draw(_mostly(4, [3, 2, 1]))])
+
+
+@st.composite
+def _seeded_argv(draw):
+    c_max = draw(st.integers(0, 2))
+    argv = ["--cmax", str(c_max)]
+    command = draw(st.sampled_from(["verify", "invariant", "hyper"]))
+    if command == "verify":
+        return argv + ["verify", "--id", "1"]
+    if command == "invariant":
+        beta, ins = draw(st.sampled_from([k for k in _SEED_KEYS if k[0][2] <= c_max]))
+        return argv + ["invariant", "--beta", "%d,%d,%d" % beta,
+                       "--ins"] + ["T%d" % i for i in ins]
+    return argv + ["hyper", "--d1", "1", "--d2", "1", "--l", str(draw(st.integers(0, 1)))]
+
+
+@given(st.lists(_seed_line(), min_size=1, max_size=3), _seeded_argv())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_fuzzed_seed_file_exits_cleanly(lines, argv):
+    # a seed file of valid and broken lines ends in a documented exit code,
+    # and a usage error says so on stderr, never in a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        seeds = Path(tmp) / "seeds.txt"
+        seeds.write_text("\n".join(lines) + "\n")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["--seeds", str(seeds)] + argv)
+    assert code in (0, 1, 2, 3), (lines, argv)
+    if code == 1:
+        assert err.getvalue().startswith("error: "), (lines, argv)

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from qhilb.chow import CODIM, CohVector, UsageError, dual_groups
+from qhilb.chow import CODIM, CohVector, UsageError, cup_basis, dual_groups
 from qhilb.gw_engine import (
     _EMPTY_ROW,
     _SEED_RULES,
+    FACTORIZATIONS,
     ConsistencyError,
     Engine,
     LinExpr,
@@ -27,6 +28,15 @@ from qhilb.gw_engine import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+# -- factorizations through a divisor -------------------------------------------
+
+def test_factorizations_hold_in_the_cup_table():
+    # the divisor-axiom peels trust gamma = s * (alpha cup alpha1)
+    for gamma, (s, alpha, alpha1) in FACTORIZATIONS.items():
+        assert CODIM[alpha1] == 1, gamma
+        assert cup_basis(alpha, alpha1).scale(s) == CohVector.basis(gamma), gamma
 
 
 # -- dimension axiom ----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every name a qhilb module imports is used there or re-exported."""
+"""Every name a qhilb module imports is used there or re-exported, and
+every private module-level name it defines is read there."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,34 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     tree = ast.parse("from x import a, b\nimport c\n__all__ = ['b']\n")
     assert unused_imports(tree) == [(1, "a"), (2, "c")]
+
+
+def unread_private_names(tree: ast.Module):
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    # a private helper nothing in its module reads is left over from a
+    # deletion; tests may import private names, but cannot keep one alive
+    assert unread_private_names(ast.parse(path.read_text())) == []
+
+
+def test_unread_private_name_is_found():
+    tree = ast.parse("def _f(): pass\nclass _C: pass\n_X = 1\n_Y: int = 2\n"
+                     "_Z = 3\n__all__ = []\ndef g(): return _Z\n")
+    assert unread_private_names(tree) == [(1, "_f"), (2, "_C"), (3, "_X"), (4, "_Y")]
