@@ -31,15 +31,17 @@ that determined it); seed values need no entry.
 A private third table holds interior rows for the associativity sums: the
 values of <x y t P>_b for every t of one codimension group, keyed by
 (b, x, y, P, codim) with x, y, P in the raw order the sum looks them up.
-A row only filters memo values (it drops zeros and keeps integral values
-as ints) and is stored once every entry of its group has been looked up.
-Memo entries under raw keys with three or more insertions are written
-once, so a stored row stays equal to what its lookups would return; a
-normalized two-point entry can still go from Unknown to a value, which is
-why rows are keyed in raw order, never sorted.  Distinct rows cover
+A row only filters memo values (it drops zeros) and is stored once every
+entry of its group has been looked up.  Memo entries under raw keys with
+three or more insertions are written once, so a stored row stays equal to
+what its lookups would return; a normalized two-point entry can still go
+from Unknown to a value, which is why rows are keyed in raw order, never
+sorted.  Distinct rows cover
 disjoint sets of raw interior keys, so there are no more rows than such
 keys.  A sum whose rows are all stored and free of Unknowns contracts
-them in integers instead of looking the entries up again.
+them in integers instead of looking the entries up again.  The in-order
+loop that runs otherwise weights its terms with the same integers, D times
+the inverse pairing, so each instance divides its interior sum by D once.
 
 The four boundary terms of an associativity instance are compiled once
 per (corners, extra) shape by the cached ``_boundary_terms``: the cup
@@ -50,6 +52,17 @@ tuples are never merged, because a key whose coefficients cancel must
 still be reduced: if it is Unknown, its poison still reaches the residual.
 Each instance then normalizes and reduces the compiled terms at its class
 and folds them, and the interior sum, into one fresh ``LinExpr``.
+
+Integral values travel as Python ints: memo entries, seed values, row
+entries, the compiled boundary coefficients, the axioms' divisor factors
+and ``LinExpr`` constants and coefficients.  A ``Fraction`` is kept only for
+a value that is not integral (the fibre-class seeds 4/c^2, a non-integral
+seed override or solver value); ``_exact`` turns an integral
+Fraction back into an int where values are stored.  So "is this a number"
+is always asked as "is this not an Unknown".  The public results are
+Fractions again: ``Engine.invariant``, ``wdvv_residual`` and
+``derive_two_point_table`` convert on the way out, and the hyperelliptic
+tables are built from ``invariant``.
 
 Values and keys are immutable; all three tables follow a single-writer
 contract (concurrent reads are fine, writes must be serialized by the
@@ -70,7 +83,6 @@ from .chow import (
     IOTA,
     CohVector,
     UsageError,
-    cup,
     cup_basis,
     divisor_degree,
     dual_groups,
@@ -101,19 +113,35 @@ class Unknown:
         return hash(("Unknown", self.reason))
 
 
-Value = Union[Fraction, Unknown]
+# What the memo (and every seed, row entry and LinExpr term) holds: an int
+# when the value is integral, a Fraction only when it is not, or an Unknown.
+# The public results turn numbers back into Fractions (see ``_public``).
+Value = Union[int, Fraction, Unknown]
 
 
 class ConsistencyError(RuntimeError):
     """The WDVV system or a seed contradicted itself; fatal."""
 
 
+def _exact(v: Value) -> Value:
+    """An integral Fraction as its int numerator; an int, a non-integral
+    Fraction or an Unknown as it is."""
+    if isinstance(v, Unknown) or v.denominator != 1:
+        return v
+    return v.numerator
+
+
+def _public(v: Value) -> Union[Fraction, Unknown]:
+    """A value as the public API returns it: a number as a Fraction."""
+    return v if isinstance(v, Unknown) else Fraction(v)
+
+
 def val_mul(x: Value, y: Value) -> Value:
     """Product with annihilation: an exact zero absorbs an Unknown."""
-    if isinstance(x, Fraction) and x == 0:
-        return Fraction(0)
-    if isinstance(y, Fraction) and y == 0:
-        return Fraction(0)
+    if not isinstance(x, Unknown) and x == 0:
+        return 0
+    if not isinstance(y, Unknown) and y == 0:
+        return 0
     if isinstance(x, Unknown):
         return x
     if isinstance(y, Unknown):
@@ -211,12 +239,14 @@ def _multiset_splits(extra: Insertions) -> Tuple[Tuple[Insertions, Insertions, i
 
 
 @lru_cache(maxsize=1)
-def _dual_groups_by_codim() -> Tuple[Tuple[Tuple[int, Tuple[Tuple[int, Fraction], ...]], ...], ...]:
-    """``dual_groups()`` split by the codimension of e (0..4), each part in
-    index order."""
+def _dual_groups_by_codim() -> Tuple[Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...], ...]:
+    """``dual_groups()`` with each weight g^{ef} scaled to the integer
+    D * g^{ef} (D as in ``_scaled_dual_columns``), split by the codimension
+    of e (0..4), each part in index order."""
+    denom = _scaled_dual_columns()[0]
     parts: List[list] = [[] for _ in range(5)]
     for e, fws in dual_groups():
-        parts[CODIM[e]].append((e, fws))
+        parts[CODIM[e]].append((e, tuple((f, int(w * denom)) for f, w in fws)))
     return tuple(tuple(part) for part in parts)
 
 
@@ -236,18 +266,16 @@ def _scaled_dual_columns() -> Tuple[int, Tuple[Tuple[Tuple[int, int], ...], ...]
 
 # An interior row: the values of <x y t P>_b over one codimension group of
 # t, as (entries, image).  entries lists (t, value) for the nonzero and
-# Unknown values, integral values as int; image maps e to the sum over f
-# of D * g^{ef} * value_f (nonzero ones only), or is None when an entry is
-# Unknown, which makes the row unusable for contraction.  Every empty row
-# is the one constant _EMPTY_ROW (never mutated).
-_Row = Tuple[Tuple[Tuple[int, Union[int, Fraction, Unknown]], ...],
-             Optional[Dict[int, Union[int, Fraction]]]]
+# Unknown values; image maps e to the sum over f of D * g^{ef} * value_f
+# (nonzero ones only), or is None when an entry is Unknown, which makes the
+# row unusable for contraction.  Every empty row is the one constant
+# _EMPTY_ROW (never mutated).
+_Row = Tuple[Tuple[Tuple[int, Value], ...], Optional[Dict[int, Union[int, Fraction]]]]
 _EMPTY_ROW: _Row = ((), {})
 
 
 def _make_row(values: Iterable[Tuple[int, Value]]) -> _Row:
-    entries = tuple((t, v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v)
-                    for t, v in values if isinstance(v, Unknown) or v)
+    entries = tuple((t, _exact(v)) for t, v in values if isinstance(v, Unknown) or v)
     if not entries:
         return _EMPTY_ROW
     if any(isinstance(v, Unknown) for _, v in entries):
@@ -333,7 +361,7 @@ def _boundary_terms(corners: Tuple[int, int, int, int],
     out = []
     for sign, raw in ((1, (i, j, cup_basis(k, l))), (1, (cup_basis(i, j), k, l)),
                       (-1, (i, k, cup_basis(j, l))), (-1, (cup_basis(i, k), j, l))):
-        out.extend((ins, sign * coeff) for ins, coeff in _expand(raw + extra))
+        out.extend((ins, _exact(sign * coeff)) for ins, coeff in _expand(raw + extra))
     return tuple(out)
 
 
@@ -352,7 +380,7 @@ _CIT_BIDEGREE = "bidegree vanishing: no curves below the first admissible bidegr
 _CIT_DRESSED = "divisor dressing of: "
 
 
-def _seed_line(key: Key, entry: Tuple[Fraction, str]) -> str:
+def _seed_line(key: Key, entry: Tuple[Value, str]) -> str:
     """One "a,b,c | i1 i2 ... | p/q | citation" line, as load_overrides reads."""
     (a, b, c), ins = key
     value, cit = entry
@@ -375,7 +403,7 @@ class SeedTable:
                  disabled_rules: Iterable[str] = ()):
         self.enable_bidegree_vanishing = enable_bidegree_vanishing
         self.disabled_rules = frozenset(disabled_rules)
-        self.explicit: Dict[Key, Tuple[Fraction, str]] = {}
+        self.explicit: Dict[Key, Tuple[Value, str]] = {}
 
     # -- explicit entries --------------------------------------------------
 
@@ -389,7 +417,7 @@ class SeedTable:
                 "seed <%s>_%r violates the dimension axiom"
                 % (" ".join(chow.BASIS_NAMES[i] for i in ins), beta)
             )
-        value = Fraction(value)
+        value = _exact(Fraction(value))
         key = (beta, ins)
         old = self.explicit.get(key)
         if old is not None and old[0] != value:
@@ -432,10 +460,10 @@ class SeedTable:
     def export_lines(self) -> List[str]:
         return [_seed_line(*item) for item in sorted(self.explicit.items())]
 
-    def materialize(self, c_max: int) -> Dict[Key, Tuple[Fraction, str]]:
+    def materialize(self, c_max: int) -> Dict[Key, Tuple[Value, str]]:
         """Explicit entries plus every rule-based seed with q3-order up to
         c_max, as a concrete table (used by export and for inspection)."""
-        table: Dict[Key, Tuple[Fraction, str]] = dict(self.explicit)
+        table: Dict[Key, Tuple[Value, str]] = dict(self.explicit)
         candidates: List[Key] = []
         for c in range(c_max + 1):
             for i in range(4, 10):
@@ -463,7 +491,7 @@ class SeedTable:
 
     # -- rule lookup ---------------------------------------------------------
 
-    def lookup(self, beta: Beta, ins: Insertions) -> Optional[Tuple[Fraction, str]]:
+    def lookup(self, beta: Beta, ins: Insertions) -> Optional[Tuple[Value, str]]:
         """Seed value for a normalized, dimension-consistent key, or None."""
         hit = self.explicit.get((beta, ins))
         if hit is not None:
@@ -486,9 +514,9 @@ def _rule_fiber_one_point(table, beta, ins):
         return None
     i = ins[0]
     if i in (8, 9):
-        return (Fraction(4, c * c), _CIT_FIBER)
+        return (_exact(Fraction(4, c * c)), _CIT_FIBER)
     if i in (4, 5, 6, 7):
-        return (Fraction(0), _CIT_FIBER)
+        return (0, _CIT_FIBER)
     return None
 
 
@@ -497,10 +525,10 @@ def _rule_ruled_classes(table, beta, ins):
     a, b, c = beta
     if (a, b) == (1, 0):
         if ins == (13,):
-            return (Fraction(2 if c == 1 else 0), _CIT_RULED)
+            return (2 if c == 1 else 0, _CIT_RULED)
         if len(ins) == 2 and ins[0] == 4 and ins[1] in (10, 11, 12):
             v = 1 if (c == 1 and ins[1] in (10, 12)) else 0
-            return (Fraction(v), _CIT_RULED)
+            return (v, _CIT_RULED)
     return None
 
 
@@ -509,7 +537,7 @@ def _rule_high_fiber_vanishing(table, beta, ins):
     # divisor T3 (degree c != 0) the two-point ones follow
     a, b, c = beta
     if (a, b) == (1, 0) and c > 2 and len(ins) in (2, 3):
-        return (Fraction(0), _CIT_DIAGONAL_CLASSES)
+        return (0, _CIT_DIAGONAL_CLASSES)
     return None
 
 
@@ -520,9 +548,9 @@ def _rule_assoc_table(table, beta, ins):
         return None
     if ins[0] == 5:
         v = {10: 2, 11: 0, 12: 2}[ins[1]] if c == 1 else 0
-        return (Fraction(v), _CIT_ASSOC_TABLE)
+        return (v, _CIT_ASSOC_TABLE)
     if ins[0] == 6:
-        return (Fraction(0), _CIT_ASSOC_TABLE)
+        return (0, _CIT_ASSOC_TABLE)
     return None
 
 
@@ -530,15 +558,14 @@ def _rule_worked_two_point(table, beta, ins):
     # <T7 T10> on (1,0,c) = 1, 2, 1 for c = 0, 1, 2, and 0 beyond
     a, b, c = beta
     if (a, b) == (1, 0) and ins == (7, 10):
-        return (Fraction((1, 2, 1)[c] if c <= 2 else 0), _CIT_WORKED)
+        return ((1, 2, 1)[c] if c <= 2 else 0, _CIT_WORKED)
     return None
 
 
 def _rule_balanced_point(table, beta, ins):
     # <T13 Te> on (1,1,1) equals the pairing of Te against T3
     if beta == (1, 1, 1) and len(ins) == 2 and ins[1] == 13 and ins[0] in (10, 11, 12):
-        v = chow.integrate(cup(CohVector.basis(3), CohVector.basis(ins[0])))
-        return (Fraction(v), _CIT_POINTLINE)
+        return (_exact(chow.integrate(cup_basis(3, ins[0]))), _CIT_POINTLINE)
     return None
 
 
@@ -547,9 +574,9 @@ def _rule_pure_t4(table, beta, ins):
         return None
     m = len(ins)
     if m in (1, 3):
-        return (Fraction(0), _CIT_T4_LOW)
+        return (0, _CIT_T4_LOW)
     if table.enable_bidegree_vanishing and below_first_bidegree(beta[0], beta[1]):
-        return (Fraction(0), _CIT_BIDEGREE)
+        return (0, _CIT_BIDEGREE)
     return None
 
 
@@ -562,7 +589,7 @@ def _rule_dressing(table, beta, ins):
     if sub is None:
         return None
     deg = divisor_degree(ins[0], beta)
-    return (Fraction(deg) * sub[0], _CIT_DRESSED + sub[1])
+    return (_exact(deg * sub[0]), _CIT_DRESSED + sub[1])
 
 
 _SEED_RULES = (
@@ -586,9 +613,9 @@ class LinExpr:
 
     __slots__ = ("const", "coeffs", "poison")
 
-    def __init__(self, const=Fraction(0), coeffs=None, poison: Optional[Unknown] = None):
-        self.const = Fraction(const)
-        self.coeffs: Dict[Key, Fraction] = dict(coeffs or {})
+    def __init__(self, const=0, coeffs=None, poison: Optional[Unknown] = None):
+        self.const = const
+        self.coeffs: Dict[Key, Union[int, Fraction]] = dict(coeffs or {})
         self.poison = poison
 
     @classmethod
@@ -599,21 +626,20 @@ class LinExpr:
 
     @classmethod
     def symbol(cls, key: Key) -> "LinExpr":
-        return cls(coeffs={key: Fraction(1)})
+        return cls(coeffs={key: 1})
 
     def __add__(self, other: "LinExpr") -> "LinExpr":
         coeffs = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, Fraction(0)) + c
+            coeffs[k] = coeffs.get(k, 0) + c
             if coeffs[k] == 0:
                 del coeffs[k]
         return LinExpr(self.const + other.const, coeffs, self.poison or other.poison)
 
     def __sub__(self, other: "LinExpr") -> "LinExpr":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
-    def scale(self, c: Fraction) -> "LinExpr":
-        c = Fraction(c)
+    def scale(self, c) -> "LinExpr":
         if c == 0:
             return LinExpr()
         return LinExpr(self.const * c, {k: v * c for k, v in self.coeffs.items()}, self.poison)
@@ -643,7 +669,6 @@ class LinExpr:
         return "LinExpr(%s, %s, poison=%r)" % (self.const, self.coeffs, self.poison)
 
 
-ZERO = Fraction(0)
 ZERO_EXPR = LinExpr()  # never mutated; tests/reference_wdvv.py sums from it
 
 
@@ -726,7 +751,7 @@ class Engine:
         insertions (basis indices, or CohVectors expanded multilinearly).
         Every term is evaluated; the first Unknown term is the result."""
         beta = _checked_key(beta, insertions, vectors=True)
-        total = ZERO
+        total = 0
         unknown: Optional[Unknown] = None
         for ins, coeff in _expand(insertions):
             value = self._invariant(beta, ins)
@@ -734,7 +759,7 @@ class Engine:
                 unknown = unknown or value
             elif value:
                 total += coeff * value
-        return unknown or total
+        return unknown or Fraction(total)
 
     def provenance_of(self, beta: Beta, insertions: Sequence[int]) -> str:
         beta = _checked_key(beta, insertions, vectors=False)
@@ -763,10 +788,10 @@ class Engine:
         remain: one- and two-point values are primitive inputs here.
         """
         if 0 in ins:
-            return Fraction(0), None
+            return 0, None
         if not dimension_check(beta, ins):
-            return Fraction(0), None
-        factor = Fraction(1)
+            return 0, None
+        factor = 1
         work = list(ins)
         while len(work) >= 3:
             d = next((i for i in work if CODIM[i] == 1), None)
@@ -775,7 +800,7 @@ class Engine:
             work.remove(d)
             deg = divisor_degree(d, beta)
             if deg == 0:
-                return Fraction(0), None
+                return 0, None
             factor *= deg
         return factor, (beta, tuple(sorted(work)))
 
@@ -786,14 +811,13 @@ class Engine:
             return hit
         factor, key = self._normalize(beta, ins)
         if key is None:
-            value: Value = Fraction(0)
+            value: Value = 0
         else:
             value = self.memo.get(key)
             if value is None:
-                value = self._reduce_key(key, _Context()).value()
-                self.memo[key] = value
+                value = self.memo[key] = _exact(self._reduce_key(key, _Context()).value())
             if not isinstance(value, Unknown):
-                value = factor * value
+                value = _exact(factor * value)
         self.memo[raw] = value
         return value
 
@@ -826,7 +850,7 @@ class Engine:
             if ctx.targets.isdisjoint(expr.coeffs):
                 ctx.cache[key] = expr
         elif not expr.coeffs:
-            self.memo[key] = expr.value()
+            self.memo[key] = _exact(expr.value())
             if record is not None and expr.poison is None:
                 self.origin[key] = "WDVV " + record.instance()
         return expr
@@ -866,8 +890,7 @@ class Engine:
         groups = _dual_groups_by_codim()
         interior = self._invariant
         rows = self._rows
-        const_acc = Fraction(0)
-        scaled_acc = 0  # D times the part contracted from stored rows
+        scaled_acc = 0  # D times the interior sum
         for b1, b2 in splittings(beta):
             for a_part, b_part, weight, excess in partitions:
                 # By the dimension axiom <i j e A>_{b1} vanishes unless
@@ -890,9 +913,10 @@ class Engine:
                         scaled_acc += weight * (lhs - rhs)
                         continue
                 # Otherwise evaluate in the order of the sum over all
-                # (e, f).  The f-side factors are kept in rows for this
-                # split and partition, each evaluated at its first use;
-                # each row is stored once its whole group is evaluated.
+                # (e, f), with the same D-scaled weights.  The f-side
+                # factors are kept in rows for this split and partition,
+                # each evaluated at its first use; each row is stored once
+                # its whole group is evaluated.
                 row_lhs: Dict[int, Value] = {}
                 row_rhs: Dict[int, Value] = {}
                 for ce in sorted({ce_lhs, ce_rhs}):
@@ -901,8 +925,8 @@ class Engine:
                     e_lhs: List[Tuple[int, Value]] = []
                     e_rhs: List[Tuple[int, Value]] = []
                     for e, fws in groups[ce]:
-                        lhs1 = interior(b1, (i, j, e) + a_part) if ce == ce_lhs else ZERO
-                        rhs1 = interior(b1, (i, k, e) + a_part) if ce == ce_rhs else ZERO
+                        lhs1 = interior(b1, (i, j, e) + a_part) if ce == ce_lhs else 0
+                        rhs1 = interior(b1, (i, k, e) + a_part) if ce == ce_rhs else 0
                         lhs1_live = isinstance(lhs1, Unknown) or bool(lhs1)
                         rhs1_live = isinstance(rhs1, Unknown) or bool(rhs1)
                         if not (lhs1_live or rhs1_live):
@@ -911,7 +935,7 @@ class Engine:
                             e_lhs.append((e, lhs1))
                         if rhs1_live:
                             e_rhs.append((e, rhs1))
-                        sum_lhs = sum_rhs = ZERO
+                        sum_lhs = sum_rhs = 0
                         for f, w in fws:
                             if lhs1_live:
                                 p = row_lhs.get(f)
@@ -934,9 +958,9 @@ class Engine:
                                 elif q:
                                     sum_rhs += w * q
                         if sum_lhs:
-                            const_acc += weight * lhs1 * sum_lhs
+                            scaled_acc += weight * lhs1 * sum_lhs
                         if sum_rhs:
-                            const_acc -= weight * rhs1 * sum_rhs
+                            scaled_acc -= weight * rhs1 * sum_rhs
                     f_size = len(groups[4 - ce])
                     if ce == ce_lhs:
                         _record_row(rows, (b1, i, j, a_part, ce), e_lhs)
@@ -947,8 +971,7 @@ class Engine:
                         if len(row_rhs) == f_size:
                             _record_row(rows, (b2, j, l, b_part, 4 - ce), row_rhs.items())
         if scaled_acc:
-            const_acc += Fraction(scaled_acc, _scaled_dual_columns()[0])
-        rel.const += const_acc
+            rel.const += _exact(Fraction(scaled_acc, _scaled_dual_columns()[0]))
         return rel
 
     def _reduce_by_wdvv(self, key: Key, ctx: "_Context") -> Tuple[LinExpr, InstanceRecord]:
@@ -998,11 +1021,11 @@ class Engine:
             ctx.targets.discard(key)
         if rel.poison is not None:
             return LinExpr(poison=rel.poison), record
-        t_c = rel.coeffs.pop(key, Fraction(0))
+        t_c = rel.coeffs.pop(key, 0)
         if t_c == 0:
             raise ConsistencyError(
                 "instance for %r does not contain its target (case %s)" % (key, label))
-        return rel.scale(Fraction(-1) / t_c), record
+        return rel.scale(_exact(Fraction(-1, t_c))), record
 
     # -- two-point derivation --------------------------------------------------
 
@@ -1075,20 +1098,21 @@ class Engine:
                 "two-point invariant left undetermined by the associativity system")
             self.origin[key] = "underdetermined"
 
-    def _store_two_point(self, key: Key, value: Fraction, note: str) -> None:
+    def _store_two_point(self, key: Key, value: Value, note: str) -> None:
+        value = _exact(value)
         seed = self.seeds.lookup(*key)
         if seed is not None and seed[0] != value:
             raise ConsistencyError(
                 "two-point solver contradicts seed at %r: %s vs %s" % (key, value, seed[0]))
         old = self.memo.get(key)
-        if isinstance(old, Fraction) and old != value:
+        if old is not None and not isinstance(old, Unknown) and old != value:
             raise ConsistencyError("two-point solver contradicts itself at %r" % (key,))
         self.memo[key] = value
         self.origin[key] = note
         beta, ins = key
         mkey = (iota_beta(beta), iota_insertions(ins))
         mold = self.memo.get(mkey)
-        if isinstance(mold, Fraction) and mold != value:
+        if mold is not None and not isinstance(mold, Unknown) and mold != value:
             raise ConsistencyError("two-point table not involution-closed at %r" % (mkey,))
         if mold is None and mkey != key:
             self.memo[mkey] = value
@@ -1111,10 +1135,10 @@ class Engine:
             for key in self._two_point_candidates(beta):
                 seed = self.seeds.lookup(*key)
                 if seed is not None:
-                    table[key] = seed[0]
+                    table[key] = Fraction(seed[0])
                 else:
-                    table[key] = self.memo.get(
-                        key, Unknown("never required nor derived"))
+                    table[key] = _public(self.memo.get(
+                        key, Unknown("never required nor derived")))
         return table
 
     # -- public WDVV surface ---------------------------------------------------
@@ -1137,7 +1161,8 @@ class Engine:
         """Numeric residual of one associativity instance (zero when the
         computed invariants satisfy the equation; Unknown if any term is)."""
         beta = tuple(beta)
-        return self._instance_expr((i, j, k, l), tuple(sorted(extra)), beta, _Context()).value()
+        return _public(self._instance_expr((i, j, k, l), tuple(sorted(extra)), beta,
+                                           _Context()).value())
 
 
 class _Context:

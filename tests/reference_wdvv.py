@@ -66,8 +66,8 @@ def _instance_expr(self, corners, extra, beta, ctx):
             for e, fws in dual_groups():
                 lhs1 = interior(b1, (i, j, e) + a_part)
                 rhs1 = interior(b1, (i, k, e) + a_part)
-                lhs1_zero = isinstance(lhs1, Fraction) and lhs1 == 0
-                rhs1_zero = isinstance(rhs1, Fraction) and rhs1 == 0
+                lhs1_zero = not isinstance(lhs1, Unknown) and lhs1 == 0
+                rhs1_zero = not isinstance(rhs1, Unknown) and rhs1 == 0
                 if lhs1_zero and rhs1_zero:
                     continue
                 for f, w in fws:

@@ -26,6 +26,7 @@ from qhilb.gw_engine import (
     iota_insertions,
     val_mul,
 )
+from qhilb.hyperelliptic import HyperellipticQuery, count_table, forward_invariants
 
 DATA = Path(__file__).parent / "data"
 
@@ -195,6 +196,8 @@ def test_divisor_elimination(engine):
 def test_unknown_arithmetic():
     u = Unknown("nope")
     assert val_mul(Fraction(0), u) == 0
+    assert val_mul(0, u) == 0
+    assert val_mul(u, 0) == 0
     assert isinstance(val_mul(Fraction(2), u), Unknown)
     # LinExpr keeps the first poison through a sum; scaling by zero drops it
     first = LinExpr.of_value(u) + LinExpr.of_value(Unknown("later"))
@@ -358,6 +361,44 @@ def test_hand_computed_family_is_not_wdvv_derivable():
         assert isinstance(eng.invariant((0, 1, c), [6, 11]), Unknown)
 
 
+# An unseeded two-point key and its involution image.
+_OPEN_KEY, _OPEN_IMAGE = ((1, 1, 0), (10, 13)), ((1, 1, 0), (11, 13))
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+def test_solver_contradicting_a_seed_is_fatal(kind):
+    eng = Engine(c_max=1)
+    key = ((1, 0, 1), (4, 10))
+    assert eng.seeds.lookup(*key)[0] == 1
+    eng._store_two_point(key, kind(1), "agrees")
+    with pytest.raises(ConsistencyError, match="contradicts seed"):
+        eng._store_two_point(key, kind(2), "clash")
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+def test_solver_contradicting_itself_is_fatal(kind):
+    # the stored value may be an int or a Fraction; both are checked
+    eng = Engine(c_max=1)
+    assert eng.seeds.lookup(*_OPEN_KEY) is None
+    eng.memo[_OPEN_KEY] = kind(3)
+    eng._store_two_point(_OPEN_KEY, Fraction(3), "agrees")
+    assert type(eng.memo[_OPEN_KEY]) is int
+    eng.memo[_OPEN_KEY] = kind(3)
+    with pytest.raises(ConsistencyError, match="contradicts itself"):
+        eng._store_two_point(_OPEN_KEY, Fraction(4), "clash")
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+def test_solver_breaking_the_involution_is_fatal(kind):
+    eng = Engine(c_max=1)
+    assert (iota_beta(_OPEN_KEY[0]), iota_insertions(_OPEN_KEY[1])) == _OPEN_IMAGE
+    eng.memo[_OPEN_IMAGE] = kind(3)
+    eng._store_two_point(_OPEN_KEY, Fraction(3), "agrees")
+    del eng.memo[_OPEN_KEY]
+    with pytest.raises(ConsistencyError, match="not involution-closed"):
+        eng._store_two_point(_OPEN_KEY, Fraction(4), "clash")
+
+
 def test_known_set_monotone_in_c_max():
     small = Engine(c_max=1).derive_two_point_table(1)
     large = Engine(c_max=3).derive_two_point_table(3)
@@ -506,6 +547,52 @@ def test_row_contraction_is_exact():
     assert _contract(rows, f_key, *e_key) is None
     assert _contract(rows, empty, *missing) == 0
     assert _contract(rows, missing, *f_key) is None
+
+
+# -- number types ----------------------------------------------------------------
+
+def test_memo_values_are_exact(engine_bidegree):
+    # integral values are stored as ints, never as Fractions
+    count_table(HyperellipticQuery(3, 2, l=2), engine_bidegree)
+    ints = 0
+    for key, v in engine_bidegree.memo.items():
+        assert (type(v) is int or isinstance(v, Unknown)
+                or type(v) is Fraction and v.denominator > 1), (key, v)
+        ints += type(v) is int
+    assert ints > 1000
+
+
+def test_public_values_stay_fractions(engine):
+    for _ in range(2):  # derived, then a memo hit
+        assert type(engine.invariant((1, 1, 2), [4, 4, 13])) is Fraction
+    assert type(engine.invariant((1, 0, 0), [1, 13])) is Fraction  # an axiom's zero
+    assert type(engine.invariant((0, 0, 2), [8])) is Fraction  # a seed
+    assert type(engine.wdvv_residual(3, 13, 1, 10, (), (1, 1, 1))) is Fraction
+    assert isinstance(Engine(c_max=1).wdvv_residual(1, 3, 3, 10, (), (1, 0, 2)), Unknown)
+    table = engine.derive_two_point_table(2)
+    assert all(type(v) is Fraction or isinstance(v, Unknown) for v in table.values())
+    q = HyperellipticQuery(2, 2, l=2)
+    assert all(type(v) is Fraction for v in forward_invariants(q, engine).values())
+    assert all(type(v) is Fraction for v in count_table(q, engine).counts.values())
+
+
+def test_fraction_constructions_pinned(monkeypatch):
+    # integral values travel as ints, so a cold query builds Fractions only
+    # for the Gauss solver's rows, divisions, non-integral values and the
+    # public result (18,065 when every value was a Fraction)
+    Engine(c_max=2).invariant((1, 1, 2), [4, 4, 13])  # fill the module caches
+    calls = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    value = Engine(c_max=2).invariant((1, 1, 2), [4, 4, 13])
+    monkeypatch.undo()
+    assert value == 2
+    assert calls[0] == 1664
 
 
 def test_trace_records():

@@ -1,10 +1,14 @@
+import csv
+import io
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from qhilb.chow import UsageError
+from qhilb.coeffring import rat_str
 from qhilb.gw_engine import Engine, Unknown
 from qhilb.hyperelliptic import (
     HyperellipticQuery,
@@ -17,6 +21,7 @@ from qhilb.hyperelliptic import (
 )
 from oracle_quadric import rational_count
 
+DATA = Path(__file__).parent / "data"
 
 # -- index bookkeeping ---------------------------------------------------------
 
@@ -187,6 +192,14 @@ def test_genus_zero_two_pairs_is_kontsevich_manin(engine_bidegree):
         assert table.counts[0] == rational_count(d1, d2), (d1, d2)
 
 
+def test_genus_zero_two_pairs_is_kontsevich_manin_at_degree_six():
+    # the d1 + d2 = 6 columns reach q3^5, so they need an engine at c_max 5
+    eng = Engine(c_max=5, enable_bidegree_vanishing=True)
+    got = [count_table(HyperellipticQuery(d1, 6 - d1, l=2), eng).counts[0]
+           for d1 in range(1, 6)]
+    assert got == [rational_count(d1, 6 - d1) for d1 in range(1, 6)] == [1, 640, 3510, 640, 1]
+
+
 def test_vanishing_flag_is_conservative(engine, engine_bidegree):
     # the optional rule may only turn Unknowns into zeros: every value the
     # default configuration knows must come out unchanged
@@ -196,3 +209,64 @@ def test_vanishing_flag_is_conservative(engine, engine_bidegree):
     for g, v in default.items():
         if not isinstance(v, Unknown):
             assert flagged[g] == v
+
+
+# -- the c_max 4 atlas -------------------------------------------------------------
+
+ATLAS_COLUMNS = [(d1, s - d1, l) for s in range(2, 6) for d1 in range(1, s)
+                 for l in range((2 * s + 1) // 3 + 1)]
+
+ATLAS_HEADER = """\
+# Hyperelliptic count tables at c_max 4 for every bidegree (d1, d2) with
+# d1, d2 >= 1 and d1 + d2 <= 5 and every l from 0 to (2 (d1 + d2) + 1) // 3,
+# without (vanishing 0) and with (vanishing 1) the bidegree-vanishing rule.
+# Engine-derived and frozen, not external ground truth: of these entries
+# only the l = 2, h = 0 ones are checked against an independent count
+# (oracle_quadric).
+"""
+
+
+@pytest.fixture(scope="module")
+def atlas(engine, engine_bidegree):
+    """(vanishing, d1, d2, l) -> count table, on the shared c_max 4 engines."""
+    return {(rule, d1, d2, l): count_table(HyperellipticQuery(d1, d2, l), eng)
+            for rule, eng in ((0, engine), (1, engine_bidegree))
+            for d1, d2, l in ATLAS_COLUMNS}
+
+
+def atlas_csv(atlas) -> str:
+    buf = io.StringIO()
+    buf.write(ATLAS_HEADER)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["vanishing", "d1", "d2", "l", "h", "count", "provenance"])
+    for (rule, d1, d2, l), table in atlas.items():
+        for _, _, _, h, v, note in table.rows(l):
+            writer.writerow([rule, d1, d2, l, h, "UNKNOWN" if v is None else rat_str(v), note])
+    return buf.getvalue()
+
+
+def test_atlas_structural_facts(atlas):
+    # for every known count: a non-negative integer, zero above the
+    # arithmetic genus (d1 - 1)(d2 - 1), zero at h = 0 for l <= 1 (rational
+    # curves move in 2 d1 + 2 d2 - 1 dimensions, too few for the points),
+    # and the same in the (d2, d1) table
+    assert len(atlas) == 72
+    known = 0
+    for (rule, d1, d2, l), table in atlas.items():
+        assert sorted(table.counts) == list(range(d1 + d2))
+        mirror = atlas[(rule, d2, d1, l)].counts
+        for h, v in table.counts.items():
+            where = (rule, d1, d2, l, h)
+            if isinstance(v, Unknown):
+                assert isinstance(mirror[h], Unknown), where
+                continue
+            known += 1
+            assert v.denominator == 1 and v >= 0, where
+            if h > (d1 - 1) * (d2 - 1) or (h == 0 and l <= 1):
+                assert v == 0, where
+            assert mirror[h] == v, where
+    assert known == 213
+
+
+def test_atlas_matches_frozen_golden(atlas):
+    assert atlas_csv(atlas) == (DATA / "atlas_c4.golden.csv").read_text()

@@ -1,12 +1,14 @@
-"""Every name a qhilb module imports is used there or re-exported, and
-every private module-level name it defines is read there."""
+"""Every name a qhilb module imports is used there or re-exported, every
+private module-level name it defines is read there, and the engine never
+tests a value with ``isinstance(..., Fraction)``."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qhilb"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qhilb"
 
 
 def unused_imports(tree: ast.Module):
@@ -67,3 +69,32 @@ def test_unread_private_name_is_found():
     tree = ast.parse("def _f(): pass\nclass _C: pass\n_X = 1\n_Y: int = 2\n"
                      "_Z = 3\n__all__ = []\ndef g(): return _Z\n")
     assert unread_private_names(tree) == [(1, "_f"), (2, "_C"), (3, "_X"), (4, "_Y")]
+
+
+def fraction_type_tests(tree: ast.Module):
+    """Lines of the isinstance calls whose type (or tuple of types) names
+    Fraction, bare or as an attribute such as ``fractions.Fraction``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        if any(isinstance(k, ast.Name) and k.id == "Fraction"
+               or isinstance(k, ast.Attribute) and k.attr == "Fraction" for k in kinds):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [SRC / "gw_engine.py", TESTS / "reference_wdvv.py"],
+                         ids=lambda p: p.name)
+def test_no_fraction_type_tests(path):
+    # integral values are ints there, so such a test skips them: test
+    # against Unknown instead
+    assert fraction_type_tests(ast.parse(path.read_text())) == []
+
+
+def test_fraction_type_test_is_found():
+    tree = ast.parse("isinstance(x, Fraction)\nisinstance(y, (int, fractions.Fraction))\n"
+                     "isinstance(z, Unknown)\ntype(w) is Fraction\n")
+    assert fraction_type_tests(tree) == [1, 2]
