@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeffring import Rational, rat_str
@@ -331,6 +332,17 @@ def dual_groups() -> Tuple[Tuple[int, Tuple[Tuple[int, Fraction], ...]], ...]:
     them evaluate the e-side factor once."""
     return tuple((e, tuple((f, w) for f, w in enumerate(row) if w))
                  for e, row in enumerate(pairing().g_inv))
+
+
+@lru_cache(maxsize=1)
+def scaled_dual_groups() -> Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]]:
+    """(D, groups): D is the common denominator of g_inv, and groups is
+    ``dual_groups()`` with every weight g^{ef} scaled to the integer
+    D * g^{ef}, so sums over the inverse pairing run in integers and
+    divide by D once."""
+    groups = dual_groups()
+    denom = lcm(*(w.denominator for _, fws in groups for _, w in fws))
+    return denom, tuple((e, tuple((f, int(w * denom)) for f, w in fws)) for e, fws in groups)
 
 
 @lru_cache(maxsize=1)

@@ -19,7 +19,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from . import chow, hyperelliptic, quantum
@@ -33,20 +32,24 @@ EXIT_UNKNOWN = 2
 EXIT_VERIFY = 3
 
 
-@dataclass
 class Config:
-    c_max: int = 6
-    y_truncation: int = 2
-    enable_bidegree_vanishing: bool = False
-    seed_override_path: Optional[str] = None
-    output_format: str = "text"
+    """The global options of one run, checked on construction.  A plain
+    class: ``dataclasses`` (and the ``inspect`` it imports) would add to
+    every process start."""
 
-    def __post_init__(self):
-        if self.c_max < 0:
+    def __init__(self, c_max: int = 6, y_truncation: int = 2,
+                 enable_bidegree_vanishing: bool = False,
+                 seed_override_path: Optional[str] = None, output_format: str = "text"):
+        self.c_max = c_max
+        self.y_truncation = y_truncation
+        self.enable_bidegree_vanishing = enable_bidegree_vanishing
+        self.seed_override_path = seed_override_path
+        self.output_format = output_format
+        if c_max < 0:
             raise UsageError("cmax must be >= 0")
-        if self.y_truncation < 0:
+        if y_truncation < 0:
             raise UsageError("ytrunc must be >= 0")
-        if self.output_format not in ("text", "json", "csv"):
+        if output_format not in ("text", "json", "csv"):
             raise UsageError("format must be text, json or csv")
 
 

@@ -54,15 +54,20 @@ Each instance then normalizes and reduces the compiled terms at its class
 and folds them, and the interior sum, into one fresh ``LinExpr``.
 
 Integral values travel as Python ints: memo entries, seed values, row
-entries, the compiled boundary coefficients, the axioms' divisor factors
-and ``LinExpr`` constants and coefficients.  A ``Fraction`` is kept only for
-a value that is not integral (the fibre-class seeds 4/c^2, a non-integral
-seed override or solver value); ``_exact`` turns an integral
-Fraction back into an int where values are stored.  So "is this a number"
+entries, the compiled boundary coefficients, the axioms' divisor factors,
+``LinExpr`` constants and coefficients, and the rows and constants of the
+two-point ``_GaussSolver``.  A ``Fraction`` is kept only for a value that
+is not integral (the fibre-class seeds 4/c^2, a non-integral seed
+override or solver value); ``_exact`` turns an integral Fraction back
+into an int where values are stored, and ``_quotient`` divides without
+building a Fraction when the quotient is an int.  So "is this a number"
 is always asked as "is this not an Unknown".  The public results are
 Fractions again: ``Engine.invariant``, ``wdvv_residual`` and
 ``derive_two_point_table`` convert on the way out, and the hyperelliptic
-tables are built from ``invariant``.
+tables are built from ``invariant``.  ``Engine.invariant_value`` hands out
+the engine's own number for basis-index insertions; the quantum product
+sums those in integers and builds its ``QSeries`` coefficients (which
+stay Fractions) once per coefficient.
 
 Values and keys are immutable; all three tables follow a single-writer
 contract (concurrent reads are fine, writes must be serialized by the
@@ -74,7 +79,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import chow
@@ -85,7 +90,7 @@ from .chow import (
     UsageError,
     cup_basis,
     divisor_degree,
-    dual_groups,
+    scaled_dual_groups,
 )
 
 Beta = Tuple[int, int, int]
@@ -113,9 +118,10 @@ class Unknown:
         return hash(("Unknown", self.reason))
 
 
-# What the memo (and every seed, row entry and LinExpr term) holds: an int
-# when the value is integral, a Fraction only when it is not, or an Unknown.
-# The public results turn numbers back into Fractions (see ``_public``).
+# What the memo (and every seed, row entry, LinExpr term and solver entry)
+# holds: an int when the value is integral, a Fraction only when it is not,
+# or an Unknown.  Fractions remain for non-integral values, for the public
+# results (see ``_public``) and in the quantum product's QSeries.
 Value = Union[int, Fraction, Unknown]
 
 
@@ -129,6 +135,14 @@ def _exact(v: Value) -> Value:
     if isinstance(v, Unknown) or v.denominator != 1:
         return v
     return v.numerator
+
+
+def _quotient(x: Union[int, Fraction], d: Union[int, Fraction]) -> Union[int, Fraction]:
+    """x / d exactly (d nonzero): an int when it is integral, with no
+    Fraction built when both are ints and d divides x."""
+    if type(x) is int and type(d) is int and not x % d:
+        return x // d
+    return _exact(Fraction(x, d))
 
 
 def _public(v: Value) -> Union[Fraction, Unknown]:
@@ -240,27 +254,23 @@ def _multiset_splits(extra: Insertions) -> Tuple[Tuple[Insertions, Insertions, i
 
 @lru_cache(maxsize=1)
 def _dual_groups_by_codim() -> Tuple[Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...], ...]:
-    """``dual_groups()`` with each weight g^{ef} scaled to the integer
-    D * g^{ef} (D as in ``_scaled_dual_columns``), split by the codimension
-    of e (0..4), each part in index order."""
-    denom = _scaled_dual_columns()[0]
+    """The groups of ``scaled_dual_groups()`` (weights D * g^{ef}) split by
+    the codimension of e (0..4), each part in index order."""
     parts: List[list] = [[] for _ in range(5)]
-    for e, fws in dual_groups():
-        parts[CODIM[e]].append((e, tuple((f, int(w * denom)) for f, w in fws)))
+    for e, fws in scaled_dual_groups()[1]:
+        parts[CODIM[e]].append((e, fws))
     return tuple(tuple(part) for part in parts)
 
 
 @lru_cache(maxsize=1)
 def _scaled_dual_columns() -> Tuple[int, Tuple[Tuple[Tuple[int, int], ...], ...]]:
-    """(D, columns): D is the common denominator of ``pairing().g_inv`` and
-    columns[f] lists (e, D * g^{ef}) over the nonzero entries, so sums over
-    the inverse pairing run in integers and divide by D once."""
-    groups = dual_groups()
-    denom = lcm(*(w.denominator for _, fws in groups for _, w in fws))
+    """(D, columns) with D as in ``scaled_dual_groups`` and columns[f]
+    listing (e, D * g^{ef}) over the nonzero entries."""
+    denom, groups = scaled_dual_groups()
     columns: List[list] = [[] for _ in range(chow.BASIS_SIZE)]
     for e, fws in groups:
         for f, w in fws:
-            columns[f].append((e, int(w * denom)))
+            columns[f].append((e, w))
     return denom, tuple(tuple(col) for col in columns)
 
 
@@ -751,6 +761,8 @@ class Engine:
         insertions (basis indices, or CohVectors expanded multilinearly).
         Every term is evaluated; the first Unknown term is the result."""
         beta = _checked_key(beta, insertions, vectors=True)
+        if all(type(x) is int for x in insertions):
+            return _public(self.invariant_value(beta, insertions))
         total = 0
         unknown: Optional[Unknown] = None
         for ins, coeff in _expand(insertions):
@@ -760,6 +772,15 @@ class Engine:
             elif value:
                 total += coeff * value
         return unknown or Fraction(total)
+
+    def invariant_value(self, beta: Beta, insertions: Sequence[int]) -> Value:
+        """The invariant of the class ``beta`` with basis-index insertions,
+        as the engine keeps it: an int when it is integral, a Fraction only
+        when it is not, or an Unknown.  The arguments are not checked.
+        ``invariant`` answers an all-index query through this and converts
+        the number to a Fraction; the quantum product reads its three-point
+        invariants here, so that it can sum them in integers."""
+        return self._invariant(beta, tuple(sorted(insertions)))
 
     def provenance_of(self, beta: Beta, insertions: Sequence[int]) -> str:
         beta = _checked_key(beta, insertions, vectors=False)
@@ -971,7 +992,7 @@ class Engine:
                         if len(row_rhs) == f_size:
                             _record_row(rows, (b2, j, l, b_part, 4 - ce), row_rhs.items())
         if scaled_acc:
-            rel.const += _exact(Fraction(scaled_acc, _scaled_dual_columns()[0]))
+            rel.const += _quotient(scaled_acc, _scaled_dual_columns()[0])
         return rel
 
     def _reduce_by_wdvv(self, key: Key, ctx: "_Context") -> Tuple[LinExpr, InstanceRecord]:
@@ -1025,7 +1046,14 @@ class Engine:
         if t_c == 0:
             raise ConsistencyError(
                 "instance for %r does not contain its target (case %s)" % (key, label))
-        return rel.scale(_exact(Fraction(-1, t_c))), record
+        # rel = t_c <key> + rest, so <key> = -rest / t_c; t_c is -1 in most
+        # reductions, and rel is fresh, so it is returned as it is
+        if t_c == -1:
+            return rel, record
+        if t_c == 1:
+            return rel.scale(-1), record
+        return LinExpr(_quotient(-rel.const, t_c),
+                       {k: _quotient(-v, t_c) for k, v in rel.coeffs.items()}), record
 
     # -- two-point derivation --------------------------------------------------
 
@@ -1190,38 +1218,41 @@ class _Context:
 # -- exact Gaussian elimination --------------------------------------------------
 
 class _GaussSolver:
-    """Incremental exact row reduction over a fixed variable list."""
+    """Incremental exact row reduction over a fixed variable list.  Pivot
+    rows are kept reduced with leading entry 1.  Entries and constants are
+    ints while integral; only an entry that is not is a Fraction."""
 
     def __init__(self, variables: List[Key]):
         self.vars = list(variables)
         self.index = {v: i for i, v in enumerate(self.vars)}
-        self.rows: List[Tuple[List[Fraction], Fraction]] = []
+        self.rows: List[Tuple[List[Union[int, Fraction]], Union[int, Fraction]]] = []
         self.pivots: Dict[int, int] = {}
 
     def add(self, rel: LinExpr) -> bool:
         """Add relation sum coeff*var + const = 0; True if rank grew."""
-        row = [Fraction(0)] * len(self.vars)
+        row: List[Union[int, Fraction]] = [0] * len(self.vars)
         for key, c in rel.coeffs.items():
-            row[self.index[key]] = c
-        const = rel.const
+            row[self.index[key]] = _exact(c)
+        const = _exact(rel.const)
         for col, rix in self.pivots.items():
-            if row[col] != 0:
+            f = row[col]
+            if f:
                 prow, pconst = self.rows[rix]
-                f = row[col]
-                row = [r - f * p for r, p in zip(row, prow)]
-                const = const - f * pconst
-        lead = next((c for c, v in enumerate(row) if v != 0), None)
+                row = _minus_scaled(row, f, prow)
+                const = _exact(const - f * pconst)
+        lead = next((c for c, v in enumerate(row) if v), None)
         if lead is None:
-            if const != 0:
+            if const:
                 raise ConsistencyError("inconsistent associativity system")
             return False
-        inv = Fraction(1) / row[lead]
-        row = [v * inv for v in row]
-        const = const * inv
+        d = row[lead]
+        if d != 1:
+            row = [_quotient(v, d) if v else 0 for v in row]
+            const = _quotient(const, d)
         for rix, (prow, pconst) in enumerate(self.rows):
-            if prow[lead] != 0:
-                f = prow[lead]
-                self.rows[rix] = ([p - f * r for p, r in zip(prow, row)], pconst - f * const)
+            f = prow[lead]
+            if f:
+                self.rows[rix] = (_minus_scaled(prow, f, row), _exact(pconst - f * const))
         self.rows.append((row, const))
         self.pivots[lead] = len(self.rows) - 1
         return True
@@ -1241,6 +1272,13 @@ class _GaussSolver:
                 determined.add(col)
         undetermined = [self.vars[c] for c in range(len(self.vars)) if c not in determined]
         return solution, undetermined
+
+
+def _minus_scaled(row: List[Union[int, Fraction]], f: Union[int, Fraction],
+                  prow: List[Union[int, Fraction]]) -> List[Union[int, Fraction]]:
+    """row - f * prow, entry by entry; an integral result is an int."""
+    out = [r - f * p for r, p in zip(row, prow)]
+    return out if all(type(v) is int for v in out) else [_exact(v) for v in out]
 
 
 # -- instance catalog -------------------------------------------------------------

@@ -26,7 +26,7 @@ from math import factorial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import chow
-from .chow import IOTA, CohVector, UsageError, dual_groups
+from .chow import IOTA, CohVector, UsageError, scaled_dual_groups
 from .coeffring import QSeries, Rational, geometric_q3
 from .gw_engine import Beta, Engine, Unknown, dimension_classes, is_effective
 
@@ -149,16 +149,25 @@ class SmallQuantum:
         # terms[f]: q-exponent -> coefficient of that monomial times Tf
         terms: List[Dict] = [{(0, 0, 0): c} for c in chow.cup_basis(i, j).coords]
         if i != 0 and j != 0:
-            for e, fws in dual_groups():
+            # sums of <Ti Tj Te>_beta * D g^{ef} in the engine's own numbers
+            # (ints where integral), divided by D once per coefficient; the
+            # cup product sits at q^0, which no nonzero class reaches
+            denom, groups = scaled_dual_groups()
+            sums: List[Dict] = [{} for _ in terms]
+            value_of = self.engine.invariant_value
+            for e, fws in groups:
                 for beta in dimension_classes((i, j, e), c_max):
-                    value = self.engine.invariant(beta, (i, j, e))
+                    value = value_of(beta, (i, j, e))
                     if isinstance(value, Unknown):
                         raise MissingInvariant(beta, (i, j, e), value.reason)
                     if value == 0:
                         continue
                     q = q_of_beta(beta)
                     for f, w in fws:
-                        terms[f][q] = terms[f].get(q, 0) + value * w
+                        sums[f][q] = sums[f].get(q, 0) + value * w
+            for term, scaled in zip(terms, sums):
+                for q, s in scaled.items():
+                    term[q] = Fraction(s, denom)
         result = QCohVector([QSeries(t, c_max) for t in terms], c_max)
         self._table[(i, j)] = result
         return result

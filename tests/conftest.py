@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qhilb.gw_engine import Engine
@@ -12,3 +14,24 @@ def engine():
 @pytest.fixture(scope="session")
 def engine_bidegree():
     return Engine(c_max=4, enable_bidegree_vanishing=True)
+
+
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """fraction_count(fn) runs fn() and returns (its result, the number of
+    Fractions built meanwhile)."""
+    def run(fn):
+        calls = [0]
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        try:
+            result = fn()
+        finally:
+            monkeypatch.undo()
+        return result, calls[0]
+    return run

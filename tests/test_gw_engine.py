@@ -576,23 +576,25 @@ def test_public_values_stay_fractions(engine):
     assert all(type(v) is Fraction for v in count_table(q, engine).counts.values())
 
 
-def test_fraction_constructions_pinned(monkeypatch):
-    # integral values travel as ints, so a cold query builds Fractions only
-    # for the Gauss solver's rows, divisions, non-integral values and the
-    # public result (18,065 when every value was a Fraction)
+def test_fraction_constructions_pinned(fraction_count):
+    # integral values travel as ints, the Gauss solver's rows included, so
+    # a cold query builds Fractions only for non-integral values and the
+    # public result (18,065 when every value was a Fraction, 1,664 while
+    # the solver's rows were Fractions)
     Engine(c_max=2).invariant((1, 1, 2), [4, 4, 13])  # fill the module caches
-    calls = [0]
-    new = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        calls[0] += 1
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting)
-    value = Engine(c_max=2).invariant((1, 1, 2), [4, 4, 13])
-    monkeypatch.undo()
+    value, calls = fraction_count(lambda: Engine(c_max=2).invariant((1, 1, 2), [4, 4, 13]))
     assert value == 2
-    assert calls[0] == 1664
+    assert calls == 82
+
+
+@pytest.mark.parametrize("ins", [(4, 4, 12), (12, 4, 4)])
+def test_memo_hit_builds_one_fraction(fraction_count, ins):
+    # an all-index query that hits the memo builds only its public result
+    eng = Engine(c_max=2)
+    want = eng.invariant((1, 1, 1), [4, 4, 12])
+    value, calls = fraction_count(lambda: eng.invariant((1, 1, 1), ins))
+    assert type(value) is Fraction and value == want
+    assert calls == 1
 
 
 def test_trace_records():

@@ -1,8 +1,12 @@
 """Every name a qhilb module imports is used there or re-exported, every
-private module-level name it defines is read there, and the engine never
-tests a value with ``isinstance(..., Fraction)``."""
+private module-level name it defines is read there, the engine never
+tests a value with ``isinstance(..., Fraction)``, and importing the CLI
+stays cheap."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,3 +102,15 @@ def test_fraction_type_test_is_found():
     tree = ast.parse("isinstance(x, Fraction)\nisinstance(y, (int, fractions.Fraction))\n"
                      "isinstance(z, Unknown)\ntype(w) is Fraction\n")
     assert fraction_type_tests(tree) == [1, 2]
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # each is milliseconds of every process start; a fresh interpreter
+    # shows what importing qhilb.cli itself adds
+    code = ("import sys; before = set(sys.modules); import qhilb.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from qhilb.quantum import (
 )
 
 C_MAX = 3
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +154,46 @@ def test_missing_invariant_is_structured():
         small_product(eng, 3, 3, 2)
     assert err.value.insertions == (3, 3, 8)
     assert err.value.beta == (0, 0, 1)
+
+
+def test_first_missing_invariant_is_pinned():
+    # without the pure-T4 seed rules, T4 * T4 stops at the first
+    # three-point invariant it reads in dual_groups() and class order
+    eng = Engine(c_max=2, disabled_seed_rules=("s8s9",))
+    with pytest.raises(MissingInvariant) as err:
+        SmallQuantum(eng).basis_product(4, 4)
+    reason = ("requires <T4^3>_(0,1,0) seed; pure incidence-class powers "
+              "beyond exponent three are not derivable here")
+    assert err.value.beta == (0, 1, 0)
+    assert err.value.insertions == (4, 4, 4)
+    assert err.value.reason == reason
+    assert str(err.value) == "missing invariant <T4 T4 T4>_((0, 1, 0),): " + reason
+
+
+def test_basis_products_match_frozen_golden(engine):
+    ring = SmallQuantum(engine, 4)
+    names = chow.BASIS_NAMES
+    lines = ["%s * %s = %s" % (names[i], names[j], ring.basis_product(i, j))
+             for i in range(chow.BASIS_SIZE) for j in range(i, chow.BASIS_SIZE)]
+    text = (DATA / "basis_products_c4.golden").read_text()
+    header = "".join(line + "\n" for line in text.splitlines() if line.startswith("#"))
+    assert len(lines) == 105
+    assert header + "".join(line + "\n" for line in lines) == text
+
+
+def test_basis_product_fraction_constructions_pinned(fraction_count):
+    # the product sums its invariants in integers (weights D g^{ef}) and
+    # builds each quantum coefficient once; most of the rest is QSeries
+    # arithmetic
+    def all_products():
+        ring = SmallQuantum(Engine(c_max=2))
+        for i in range(chow.BASIS_SIZE):
+            for j in range(i, chow.BASIS_SIZE):
+                ring.basis_product(i, j)
+
+    all_products()  # fill the module caches
+    _, calls = fraction_count(all_products)
+    assert calls == 1722  # 11,465 when basis_product summed Fractions
 
 
 # -- relations ---------------------------------------------------------------------
