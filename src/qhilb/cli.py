@@ -62,7 +62,7 @@ def build_engine(cfg: Config) -> Engine:
                 overrides = fh.readlines()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError("cannot read seed file %r: %s" % (path, exc)) from None
-    return Engine(c_max=max(cfg.c_max, 1),
+    return Engine(c_max=cfg.c_max,
                   enable_bidegree_vanishing=cfg.enable_bidegree_vanishing,
                   seed_overrides=overrides)
 
@@ -164,7 +164,7 @@ def cmd_product(args, cfg: Config) -> int:
     i, j = ins
     engine = build_engine(cfg)
     try:
-        result = quantum.small_product(engine, i, j, cfg.c_max)
+        result = quantum.small_product(engine, i, j)
     except quantum.MissingInvariant as exc:
         print("missing invariant: %s" % exc, file=sys.stderr)
         return EXIT_UNKNOWN
@@ -190,7 +190,7 @@ def cmd_verify(args, cfg: Config) -> int:
             raise UsageError("verify wants --all or --id N [N ...]")
         ids = args.id
     engine = build_engine(cfg)
-    residuals = quantum.verify_all(engine, cfg.c_max, ids)
+    residuals = quantum.verify_all(engine, ids)
     failures = {}
     lines = []
     for rel_id in sorted(residuals):
@@ -263,7 +263,7 @@ def cmd_gamma(args, cfg: Config) -> int:
     if len(ins) != 3:
         raise UsageError("gamma wants exactly three basis classes")
     engine = build_engine(cfg)
-    series = quantum.gamma(engine, *ins, y_truncation=cfg.y_truncation, c_max=cfg.c_max)
+    series = quantum.gamma(engine, *ins, y_truncation=cfg.y_truncation)
     entries = []
     for (beta, ydeg), value in sorted(series.terms.items()):
         ys = " ".join(

@@ -262,18 +262,6 @@ def _dual_groups_by_codim() -> Tuple[Tuple[Tuple[int, Tuple[Tuple[int, int], ...
     return tuple(tuple(part) for part in parts)
 
 
-@lru_cache(maxsize=1)
-def _scaled_dual_columns() -> Tuple[int, Tuple[Tuple[Tuple[int, int], ...], ...]]:
-    """(D, columns) with D as in ``scaled_dual_groups`` and columns[f]
-    listing (e, D * g^{ef}) over the nonzero entries."""
-    denom, groups = scaled_dual_groups()
-    columns: List[list] = [[] for _ in range(chow.BASIS_SIZE)]
-    for e, fws in groups:
-        for f, w in fws:
-            columns[f].append((e, w))
-    return denom, tuple(tuple(col) for col in columns)
-
-
 # An interior row: the values of <x y t P>_b over one codimension group of
 # t, as (entries, image).  entries lists (t, value) for the nonzero and
 # Unknown values; image maps e to the sum over f of D * g^{ef} * value_f
@@ -290,10 +278,11 @@ def _make_row(values: Iterable[Tuple[int, Value]]) -> _Row:
         return _EMPTY_ROW
     if any(isinstance(v, Unknown) for _, v in entries):
         return entries, None
-    columns = _scaled_dual_columns()[1]
+    # g is symmetric (``pairing`` checks it), so column f of g_inv is row f
+    groups = scaled_dual_groups()[1]
     image: Dict[int, Union[int, Fraction]] = {}
     for f, v in entries:
-        for e, w in columns[f]:
+        for e, w in groups[f][1]:
             image[e] = image.get(e, 0) + w * v
     return entries, {e: s for e, s in image.items() if s}
 
@@ -326,18 +315,24 @@ def _contract(rows: Dict[tuple, _Row], e_key: tuple, b: Beta, x: int, y: int,
     return total
 
 
-def _checked_key(beta: Sequence[int], insertions: Sequence, vectors: bool) -> Beta:
-    """The class of a public query as a tuple, after checking it is three
-    non-negative ints, not all zero, and that every insertion is a basis
-    index 0..13 (or, with ``vectors``, a CohVector).  Raises UsageError."""
-    beta = tuple(beta)
-    if len(beta) != 3 or beta == (0, 0, 0) or not all(type(t) is int and t >= 0 for t in beta):
-        raise UsageError("invariants want a nonzero effective class, got %r" % (beta,))
+def check_insertions(insertions: Sequence, vectors: bool) -> None:
+    """Raise UsageError unless every insertion is a basis index 0..13 (or,
+    with ``vectors``, a CohVector)."""
     for x in insertions:
         if not (type(x) is int and 0 <= x < chow.BASIS_SIZE
                 or vectors and isinstance(x, CohVector)):
             raise UsageError("insertions want basis indices 0..%d%s, got %r"
                              % (chow.BASIS_SIZE - 1, " or CohVectors" if vectors else "", x))
+
+
+def _checked_key(beta: Sequence[int], insertions: Sequence, vectors: bool) -> Beta:
+    """The class of a public query as a tuple, after checking it is three
+    non-negative ints, not all zero, and the insertions as
+    ``check_insertions`` does.  Raises UsageError."""
+    beta = tuple(beta)
+    if len(beta) != 3 or beta == (0, 0, 0) or not all(type(t) is int and t >= 0 for t in beta):
+        raise UsageError("invariants want a nonzero effective class, got %r" % (beta,))
+    check_insertions(insertions, vectors)
     return beta
 
 
@@ -638,22 +633,6 @@ class LinExpr:
     def symbol(cls, key: Key) -> "LinExpr":
         return cls(coeffs={key: 1})
 
-    def __add__(self, other: "LinExpr") -> "LinExpr":
-        coeffs = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, 0) + c
-            if coeffs[k] == 0:
-                del coeffs[k]
-        return LinExpr(self.const + other.const, coeffs, self.poison or other.poison)
-
-    def __sub__(self, other: "LinExpr") -> "LinExpr":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "LinExpr":
-        if c == 0:
-            return LinExpr()
-        return LinExpr(self.const * c, {k: v * c for k, v in self.coeffs.items()}, self.poison)
-
     def add_scaled(self, other: "LinExpr", c) -> None:
         """In place: self += c * other, keeping the first poison and dropping
         coefficients that reach zero.  Only for a fresh accumulator."""
@@ -677,9 +656,6 @@ class LinExpr:
 
     def __repr__(self):
         return "LinExpr(%s, %s, poison=%r)" % (self.const, self.coeffs, self.poison)
-
-
-ZERO_EXPR = LinExpr()  # never mutated; tests/reference_wdvv.py sums from it
 
 
 # ---------------------------------------------------------------------------
@@ -992,7 +968,7 @@ class Engine:
                         if len(row_rhs) == f_size:
                             _record_row(rows, (b2, j, l, b_part, 4 - ce), row_rhs.items())
         if scaled_acc:
-            rel.const += _quotient(scaled_acc, _scaled_dual_columns()[0])
+            rel.const += _quotient(scaled_acc, scaled_dual_groups()[0])
         return rel
 
     def _reduce_by_wdvv(self, key: Key, ctx: "_Context") -> Tuple[LinExpr, InstanceRecord]:
@@ -1050,8 +1026,6 @@ class Engine:
         # reductions, and rel is fresh, so it is returned as it is
         if t_c == -1:
             return rel, record
-        if t_c == 1:
-            return rel.scale(-1), record
         return LinExpr(_quotient(-rel.const, t_c),
                        {k: _quotient(-v, t_c) for k, v in rel.coeffs.items()}), record
 
@@ -1146,14 +1120,13 @@ class Engine:
             self.memo[mkey] = value
             self.origin[mkey] = note + " (involution image)"
 
-    def derive_two_point_table(self, c_max: Optional[int] = None) -> Dict[Key, Value]:
+    def derive_two_point_table(self) -> Dict[Key, Value]:
         """Derive every two-point invariant with a + b <= 2 up to the
-        truncation order; returns the combined seed + derived table."""
-        c_max = self.c_max if c_max is None else c_max
+        engine's c_max; returns the combined seed + derived table."""
         betas = []
         for a in range(3):
             for b in range(3 - a):
-                for c in range(c_max + 1):
+                for c in range(self.c_max + 1):
                     if (a, b, c) != (0, 0, 0):
                         betas.append((a, b, c))
         betas.sort(key=beta_key)
@@ -1165,8 +1138,7 @@ class Engine:
                 if seed is not None:
                     table[key] = Fraction(seed[0])
                 else:
-                    table[key] = _public(self.memo.get(
-                        key, Unknown("never required nor derived")))
+                    table[key] = _public(self.memo[key])
         return table
 
     # -- public WDVV surface ---------------------------------------------------
@@ -1177,8 +1149,9 @@ class Engine:
         over invariant keys: it asserts const + sum coeffs[key] * <key> = 0.
         Every unseeded two-point key the solver has not stored stays a
         symbol; everything else is evaluated by the engine (a poisoned
-        expression names the first Unknown met)."""
-        beta = tuple(beta)
+        expression names the first Unknown met).  Raises UsageError on a
+        class or index ``invariant`` would refuse."""
+        beta = _checked_key(beta, (i, j, k, l, *extra), vectors=False)
         # the solver's two-point keys are exactly the two-point keys in origin
         ctx = _Context(lambda key: (len(key[1]) <= 2 and key not in self.origin
                                     and self.seeds.lookup(*key) is None))
@@ -1187,8 +1160,9 @@ class Engine:
     def wdvv_residual(self, i: int, j: int, k: int, l: int,
                       extra: Sequence[int], beta: Beta) -> Value:
         """Numeric residual of one associativity instance (zero when the
-        computed invariants satisfy the equation; Unknown if any term is)."""
-        beta = tuple(beta)
+        computed invariants satisfy the equation; Unknown if any term is).
+        Checked like ``wdvv_instance``."""
+        beta = _checked_key(beta, (i, j, k, l, *extra), vectors=False)
         return _public(self._instance_expr((i, j, k, l), tuple(sorted(extra)), beta,
                                            _Context()).value())
 

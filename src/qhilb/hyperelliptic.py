@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Dict
+from typing import Dict, Iterable, Tuple
 
 from .chow import UsageError
-from .gw_engine import Beta, Engine, LinExpr, Unknown, Value, below_first_bidegree
+from .gw_engine import Beta, Engine, Unknown, Value, below_first_bidegree
 
 
 class HyperellipticQuery:
@@ -80,15 +80,21 @@ def forward_invariants(query: HyperellipticQuery, engine: Engine,
     return out
 
 
+def _combination(terms: Iterable[Tuple[int, Value]]) -> Value:
+    """The sum of c * v over the (c, v) terms, or the first Unknown v."""
+    total = 0
+    for c, v in terms:
+        if isinstance(v, Unknown):
+            return v
+        total += c * v
+    return total
+
+
 def forward_counts(counts: Dict[int, Value], g_min: int, h_max: int) -> Dict[int, Value]:
     """The binomial transform itself: from counts back to invariants."""
-    out: Dict[int, Value] = {}
-    for g in range(g_min, h_max + 1):
-        total = LinExpr()
-        for h in range(g, h_max + 1):
-            total += LinExpr.of_value(counts.get(h, Fraction(0))).scale(comb(2 * h + 2, h - g))
-        out[g] = total.value()
-    return out
+    return {g: _combination((comb(2 * h + 2, h - g), counts.get(h, Fraction(0)))
+                            for h in range(g, h_max + 1))
+            for g in range(g_min, h_max + 1)}
 
 
 def invert_counts(invariants: Dict[int, Value], d1: int, d2: int) -> "HyperellipticTable":
@@ -100,10 +106,8 @@ def invert_counts(invariants: Dict[int, Value], d1: int, d2: int) -> "Hyperellip
     for h in range(h_max, -1, -1):
         if h not in invariants:
             break
-        total = LinExpr.of_value(invariants[h])
-        for h2 in range(h + 1, h_max + 1):
-            total -= LinExpr.of_value(counts[h2]).scale(comb(2 * h2 + 2, h2 - h))
-        counts[h] = total.value()
+        counts[h] = _combination([(1, invariants[h])] + [
+            (-comb(2 * h2 + 2, h2 - h), counts[h2]) for h2 in range(h + 1, h_max + 1)])
     return HyperellipticTable(d1, d2, counts)
 
 

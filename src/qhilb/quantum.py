@@ -7,7 +7,7 @@ The quantum product deforms the cup product by three-point invariants,
 with q^beta = q1^b q2^a q3^c for the curve class (a, b, c).  Since q1, q2
 carry degree two and q3 degree zero, coefficients live in the polynomial
 ring over q1, q2 with power series in q3; all computations here truncate
-q3 at a configurable order and are exact.
+q3 at the engine's ``c_max`` and are exact.
 
 The ring presentation in the generators T1..T4 consists of seventeen
 relations: eleven are shipped verbatim in a reviewable data file, the
@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from . import chow
 from .chow import IOTA, CohVector, UsageError, scaled_dual_groups
 from .coeffring import QSeries, Rational, geometric_q3
-from .gw_engine import Beta, Engine, Unknown, dimension_classes, is_effective
+from .gw_engine import Beta, Engine, Unknown, check_insertions, dimension_classes, is_effective
 
 Insertion = int
 
@@ -124,22 +124,17 @@ class QCohVector:
 
 
 class SmallQuantum:
-    """The small quantum product at a fixed truncation order."""
+    """The small quantum product, truncated at the engine's c_max."""
 
-    def __init__(self, engine: Engine, c_max: Optional[int] = None):
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.c_max = engine.c_max if c_max is None else c_max
-        if type(self.c_max) is not int or self.c_max < 0:
-            raise UsageError("product truncation wants an int >= 0, got %r" % (self.c_max,))
-        if self.c_max > engine.c_max:
-            raise UsageError(
-                "product truncation %d exceeds the engine's c_max %d"
-                % (self.c_max, engine.c_max))
+        self.c_max = engine.c_max
         self._table: Dict[Tuple[int, int], QCohVector] = {}
 
     # -- the basis product table ------------------------------------------
 
     def basis_product(self, i: int, j: int) -> QCohVector:
+        check_insertions((i, j), vectors=False)
         if i > j:
             i, j = j, i
         hit = self._table.get((i, j))
@@ -192,9 +187,9 @@ class SmallQuantum:
             x, y, lambda i, j: QCohVector.lift(chow.cup_basis(i, j), self.c_max))
 
 
-def small_product(engine: Engine, i: int, j: int, c_max: Optional[int] = None) -> QCohVector:
+def small_product(engine: Engine, i: int, j: int) -> QCohVector:
     """Quantum product of two basis classes (convenience wrapper)."""
-    return SmallQuantum(engine, c_max).basis_product(i, j)
+    return SmallQuantum(engine).basis_product(i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -402,21 +397,15 @@ class _Evaluator:
         return self.ring.product(lhs, rhs) if quantum else self.ring.cup(lhs, rhs)
 
 
-def verify_relation(engine: Engine, relation: Relation, c_max: Optional[int] = None) -> QCohVector:
-    """Residual of one relation: identically zero up to the truncation."""
-    ring = SmallQuantum(engine, c_max)
-    return _Evaluator(ring).run(relation.ast)
-
-
-def verify_all(engine: Engine, c_max: Optional[int] = None,
-               ids: Optional[Sequence[int]] = None) -> Dict[int, QCohVector]:
+def verify_all(engine: Engine, ids: Optional[Sequence[int]] = None) -> Dict[int, QCohVector]:
+    """Residual of each relation (all seventeen, or those in ``ids``) by
+    id: identically zero up to the engine's c_max."""
     relations = load_relations()
     wanted = set(range(1, 18) if ids is None else ids)
     bad = sorted(wanted - {rel.id for rel in relations})
     if bad:
         raise UsageError("relation ids are 1..17, got %s" % " ".join(map(str, bad)))
-    ring = SmallQuantum(engine, c_max)
-    ev = _Evaluator(ring)
+    ev = _Evaluator(SmallQuantum(engine))
     return {rel.id: ev.run(rel.ast) for rel in relations if rel.id in wanted}
 
 
@@ -446,11 +435,11 @@ class GammaSeries:
         return {k: v for k, v in self.terms.items() if isinstance(v, Unknown)}
 
 
-def gamma(engine: Engine, i: int, j: int, k: int,
-          y_truncation: int = 2, c_max: Optional[int] = None) -> GammaSeries:
+def gamma(engine: Engine, i: int, j: int, k: int, y_truncation: int = 2) -> GammaSeries:
     """All coefficients of the deformation series for one index triple,
-    up to total y-degree ``y_truncation`` and q3-order ``c_max``."""
-    c_max = engine.c_max if c_max is None else c_max
+    up to total y-degree ``y_truncation`` and the engine's q3-order."""
+    check_insertions((i, j, k), vectors=False)
+    c_max = engine.c_max
     series = GammaSeries(i, j, k, y_truncation, c_max)
     if 0 in (i, j, k):
         return series  # vanishes: no degree-zero curves contribute

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from qhilb.chow import CohVector, cup, dual_groups
-from qhilb.gw_engine import ZERO_EXPR, LinExpr, Unknown, splittings, val_mul
+from qhilb.gw_engine import LinExpr, Unknown, splittings, val_mul
 
 
 def _multiset_splits(extra):
@@ -37,9 +37,9 @@ def _multiset_splits(extra):
     return out
 
 
-def _term_expr(self, beta, raw, ctx):
+def _add_term_expr(self, rel, sign, beta, raw, ctx):
+    """rel += sign * (the expansion of the term with insertions ``raw``)."""
     vectors = [v if isinstance(v, CohVector) else CohVector.basis(v) for v in raw]
-    total = ZERO_EXPR
     for combo in itertools.product(*(v.support() for v in vectors)):
         coeff = Fraction(1)
         for v, i in zip(vectors, combo):
@@ -47,17 +47,16 @@ def _term_expr(self, beta, raw, ctx):
         factor, key = self._normalize(beta, tuple(sorted(combo)))
         if key is None:
             continue
-        total = total + self._reduce_key(key, ctx).scale(coeff * factor)
-    return total
+        rel.add_scaled(self._reduce_key(key, ctx), sign * coeff * factor)
 
 
 def _instance_expr(self, corners, extra, beta, ctx):
     i, j, k, l = corners
-    rel = ZERO_EXPR
-    rel = rel + _term_expr(self, beta, [i, j, cup(CohVector.basis(k), CohVector.basis(l))] + list(extra), ctx)
-    rel = rel + _term_expr(self, beta, [cup(CohVector.basis(i), CohVector.basis(j)), k, l] + list(extra), ctx)
-    rel = rel - _term_expr(self, beta, [i, k, cup(CohVector.basis(j), CohVector.basis(l))] + list(extra), ctx)
-    rel = rel - _term_expr(self, beta, [cup(CohVector.basis(i), CohVector.basis(k)), j, l] + list(extra), ctx)
+    basis = CohVector.basis
+    rel = LinExpr()
+    for sign, raw in ((1, [i, j, cup(basis(k), basis(l))]), (1, [cup(basis(i), basis(j)), k, l]),
+                      (-1, [i, k, cup(basis(j), basis(l))]), (-1, [cup(basis(i), basis(k)), j, l])):
+        _add_term_expr(self, rel, sign, beta, raw + list(extra), ctx)
     partitions = _multiset_splits(extra)
     interior = self._invariant
     const_acc = Fraction(0)
@@ -82,8 +81,7 @@ def _instance_expr(self, corners, extra, beta, ctx):
                         if isinstance(term, Unknown):
                             return LinExpr(poison=term)
                         const_acc -= coeff * term
-    if const_acc != 0:
-        rel = rel + LinExpr(const=const_acc)
+    rel.const += const_acc
     return rel
 
 

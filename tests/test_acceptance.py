@@ -92,7 +92,7 @@ def test_criterion_4_independent_rederivation():
 
 def test_criterion_5_quantum_square(engine):
     t0 = time.time()
-    ring = SmallQuantum(engine, 4)
+    ring = SmallQuantum(engine)
     result = ring.basis_product(4, 4)
     want = (QCohVector.basis(13, 4)
             + QCohVector.basis(0, 4).scale(QSeries.monomial((1, 1, 2), 4, Fraction(2))))
@@ -101,7 +101,7 @@ def test_criterion_5_quantum_square(engine):
 
 def test_criterion_6_presentation(engine):
     t0 = time.time()
-    residuals = verify_all(engine, 4)
+    residuals = verify_all(engine)
     ok = len(residuals) == 17 and all(r.is_zero() for r in residuals.values())
     report(6, ok, time.time() - t0, 120)
 
@@ -198,7 +198,7 @@ def test_criterion_9_determinism():
     def export():
         from qhilb.cli import render_json
         eng = Engine(c_max=3)
-        ring = SmallQuantum(eng, 3)
+        ring = SmallQuantum(eng)
         payload = {
             "invariants": {
                 "1,0,1|T13": str(eng.invariant((1, 0, 1), [13])),
@@ -209,7 +209,7 @@ def test_criterion_9_determinism():
                 "T4*T4": str(ring.basis_product(4, 4)),
                 "T3*T3": str(ring.basis_product(3, 3)),
             },
-            "verify": {str(i): r.is_zero() for i, r in verify_all(eng, 3).items()},
+            "verify": {str(i): r.is_zero() for i, r in verify_all(eng).items()},
             "hyper_1_1_l1": [
                 [r[3], "UNKNOWN" if r[4] is None else str(r[4])]
                 for r in count_table(HyperellipticQuery(1, 1, 1), eng).rows(1)

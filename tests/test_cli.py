@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhilb.cli import main
+from qhilb.cli import main, render_json
 from qhilb.gw_engine import dimension_check
 
 DATA = Path(__file__).parent / "data"
@@ -118,6 +118,25 @@ def test_product_t1_t3(capsys):
     code, out, _ = run(capsys, "--cmax", "2", "product", "T1", "T3")
     assert code == 0
     assert out.strip() == "T1*T3 = 2 q1 q3 T0 + T8"
+
+
+_ALL_PASS_C0 = ("".join("relation %2d: pass\n" % i for i in range(1, 18))
+                + "17/17 relations pass at c_max=0\n")
+
+
+@pytest.mark.parametrize("argv, text, payload", [
+    (("verify", "--all"), _ALL_PASS_C0,
+     {"c_max": 0, "checked": list(range(1, 18)), "failures": {}, "passed": list(range(1, 18))}),
+    (("product", "T4", "T4"), "T4*T4 = T13\n",
+     {"c_max": 0, "coordinates": {"T13": "1"}, "product": "T4*T4"}),
+    (("gamma", "T3", "T3", "T8"), "0\n", {"indices": [3, 3, 8], "terms": []}),
+])
+def test_cmax_zero(capsys, argv, text, payload):
+    # at --cmax 0 the engine itself is built at c_max 0: q3 is truncated
+    # away and the product is the cup product
+    assert run(capsys, "--cmax", "0", *argv) == (0, text, "")
+    assert run(capsys, "--cmax", "0", "--format", "json", *argv) == (
+        0, render_json(payload) + "\n", "")
 
 
 # -- verify ----------------------------------------------------------------------

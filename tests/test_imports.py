@@ -1,9 +1,10 @@
 """Every name a qhilb module imports is used there or re-exported, every
 private module-level name it defines is read there, the engine never
-tests a value with ``isinstance(..., Fraction)``, and importing the CLI
-stays cheap."""
+tests a value with ``isinstance(..., Fraction)``, importing the CLI
+stays cheap, and every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "qhilb"
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 
 
 def unused_imports(tree: ast.Module):
@@ -114,3 +116,20 @@ def test_cli_import_skips_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_tracer_targets_resolve():
+    # the traced benchmark run patches each of these names, so deleting one
+    # breaks it; the tracer is read as text, not imported
+    tree = ast.parse(TRACER.read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    missing = []
+    for _, module, path, _ in targets:
+        obj = importlib.import_module(module)
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append((module, path))
+    assert targets and missing == []

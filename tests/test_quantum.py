@@ -25,8 +25,18 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
-def ring(engine):
-    return SmallQuantum(engine, C_MAX)
+def engine3():
+    return Engine(c_max=C_MAX)
+
+
+@pytest.fixture(scope="module")
+def ring(engine3):
+    return SmallQuantum(engine3)
+
+
+@pytest.fixture(scope="module")
+def engine2():
+    return Engine(c_max=2)
 
 
 def series(e1, e2, e3, coeff=1, c_max=C_MAX):
@@ -43,14 +53,6 @@ def test_q_of_beta():
         q_of_beta((-1, 0, 0))
 
 
-@pytest.mark.parametrize("c_max", [-1, True, 2.0, "2", 3])
-def test_small_quantum_checks_c_max(c_max):
-    # a truncation order that is not an int in 0..engine.c_max is refused
-    # when the ring is built, not at its first product
-    with pytest.raises(UsageError):
-        SmallQuantum(Engine(c_max=2), c_max)
-
-
 @pytest.mark.parametrize("c_max", [-1, True, 2.5, 2.0, "3", None])
 def test_engine_checks_c_max(c_max):
     # the engine refuses the same truncation orders when it is built, not
@@ -65,7 +67,20 @@ def test_engine_accepts_c_max_zero():
 
 
 def test_small_quantum_accepts_c_max_zero():
-    assert SmallQuantum(Engine(c_max=2), 0).c_max == 0
+    assert SmallQuantum(Engine(c_max=0)).c_max == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda eng: SmallQuantum(eng).basis_product(-1, 4),
+    lambda eng: SmallQuantum(eng).basis_product(99, 1),
+    lambda eng: gamma(eng, 99, 1, 1),
+], ids=["product-negative", "product-too-large", "gamma-too-large"])
+def test_quantum_entry_points_check_indices(call):
+    # refused before the engine is asked, not deep inside it
+    eng = Engine(c_max=2)
+    with pytest.raises(UsageError):
+        call(eng)
+    assert eng.memo == {}
 
 
 # -- small products ---------------------------------------------------------------
@@ -151,7 +166,7 @@ def test_missing_invariant_is_structured():
     # unseeding the fiber-class values starves the product of T3*T3
     eng = Engine(c_max=2, disabled_seed_rules=("s1s2",))
     with pytest.raises(MissingInvariant) as err:
-        small_product(eng, 3, 3, 2)
+        small_product(eng, 3, 3)
     assert err.value.insertions == (3, 3, 8)
     assert err.value.beta == (0, 0, 1)
 
@@ -171,7 +186,7 @@ def test_first_missing_invariant_is_pinned():
 
 
 def test_basis_products_match_frozen_golden(engine):
-    ring = SmallQuantum(engine, 4)
+    ring = SmallQuantum(engine)
     names = chow.BASIS_NAMES
     lines = ["%s * %s = %s" % (names[i], names[j], ring.basis_product(i, j))
              for i in range(chow.BASIS_SIZE) for j in range(i, chow.BASIS_SIZE)]
@@ -211,53 +226,53 @@ def test_parser_rejects_garbage():
         _Parser(_tokenize("T99")).parse()
 
 
-def test_all_relations_at_working_truncation(engine):
-    residuals = verify_all(engine, C_MAX)
+def test_all_relations_at_working_truncation(engine3):
+    residuals = verify_all(engine3)
     assert len(residuals) == 17
     for rel_id, res in residuals.items():
         assert res.is_zero(), (rel_id, str(res))
 
 
-def test_relations_classical_check(engine):
-    for rel_id, res in verify_all(engine, 0).items():
+def test_relations_classical_check():
+    residuals = verify_all(Engine(c_max=0))
+    assert len(residuals) == 17
+    for rel_id, res in residuals.items():
         assert res.is_zero(), rel_id
 
 
-def test_single_relation_verify(engine):
-    from qhilb.quantum import verify_relation
-
-    rels = {r.id: r for r in load_relations()}
-    assert verify_relation(engine, rels[6], 2).is_zero()
-    assert verify_relation(engine, rels[9], 3).is_zero()
+def test_single_relation_verify(engine2, engine3):
+    residuals = verify_all(engine2, [6])
+    assert list(residuals) == [6] and residuals[6].is_zero()
+    assert verify_all(engine3, [9])[9].is_zero()
 
 
 # -- gamma series --------------------------------------------------------------------
 
-def test_gamma_vanishes_with_unit_index(engine):
-    assert gamma(engine, 0, 3, 3, y_truncation=1, c_max=2).terms == {}
+def test_gamma_vanishes_with_unit_index(engine2):
+    assert gamma(engine2, 0, 3, 3, y_truncation=1).terms == {}
 
 
-def test_gamma_three_point_part(engine):
+def test_gamma_three_point_part(engine2):
     # the n = 0 coefficients are the plain three-point invariants
-    g = gamma(engine, 3, 3, 8, y_truncation=0, c_max=2)
+    g = gamma(engine2, 3, 3, 8, y_truncation=0)
     for c in (1, 2):
-        assert g.terms[((0, 0, c), (0,) * 10)] == engine.invariant((0, 0, c), (3, 3, 8))
+        assert g.terms[((0, 0, c), (0,) * 10)] == engine2.invariant((0, 0, c), (3, 3, 8))
     assert ((0, 0, 1), (0,) * 10) in g.terms
 
 
-def test_gamma_y_coefficient_matches_recursion(engine):
+def test_gamma_y_coefficient_matches_recursion(engine2):
     # the first-order y13 coefficient is the four-point invariant
-    g = gamma(engine, 4, 4, 8, y_truncation=1, c_max=2)
+    g = gamma(engine2, 4, 4, 8, y_truncation=1)
     ydeg = tuple(1 if t == 9 else 0 for t in range(10))  # y13 slot
     for (beta, deg), value in g.terms.items():
         if deg == ydeg:
-            direct = engine.invariant(beta, (4, 4, 8, 13))
+            direct = engine2.invariant(beta, (4, 4, 8, 13))
             assert value == direct
 
 
 def test_gamma_flags_unknowns():
     eng = Engine(c_max=2)
-    g = gamma(eng, 4, 4, 5, y_truncation=2, c_max=2)
+    g = gamma(eng, 4, 4, 5, y_truncation=2)
     flagged = g.flagged_terms()
     known = g.known_terms()
     assert all(isinstance(v, Unknown) for v in flagged.values())
@@ -265,11 +280,11 @@ def test_gamma_flags_unknowns():
         assert key not in flagged
 
 
-def test_gamma_normalization(engine):
+def test_gamma_normalization(engine2):
     # a doubled insertion divides by 2! = 2
-    g = gamma(engine, 3, 3, 13, y_truncation=2, c_max=2)
+    g = gamma(engine2, 3, 3, 13, y_truncation=2)
     ydeg = tuple(2 if t == 0 else 0 for t in range(10))  # y4^2 slot
     for (beta, deg), value in g.terms.items():
         if deg == ydeg and not isinstance(value, Unknown):
-            direct = engine.invariant(beta, (3, 3, 13, 4, 4))
+            direct = engine2.invariant(beta, (3, 3, 13, 4, 4))
             assert value == Fraction(direct, 2)
