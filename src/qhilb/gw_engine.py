@@ -51,7 +51,11 @@ so recursion order and the first Unknown do not change.  Equal insertion
 tuples are never merged, because a key whose coefficients cancel must
 still be reduced: if it is Unknown, its poison still reaches the residual.
 Each instance then normalizes and reduces the compiled terms at its class
-and folds them, and the interior sum, into one fresh ``LinExpr``.
+and folds them, and the interior sum, into one fresh ``LinExpr``.  The
+axioms' class-free part is cached per raw insertion tuple by
+``_normal_plan`` (T0, the a+b the dimension axiom wants, the divisors to
+strip, the sorted rest), so normalizing at a class compares a+b and
+multiplies the stripped divisors' degrees.
 
 Integral values travel as Python ints: memo entries, seed values, row
 entries, the compiled boundary coefficients, the axioms' divisor factors,
@@ -252,6 +256,29 @@ def _multiset_splits(extra: Insertions) -> Tuple[Tuple[Insertions, Insertions, i
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _normal_plan(ins: Insertions) -> Optional[Tuple[int, Insertions, Insertions]]:
+    """The class-free part of ``Engine._normalize`` for an insertion tuple
+    in any order: None when it holds T0 (fundamental-class axiom), else
+    (2(a+b) as the dimension axiom requires, the divisors the divisor
+    axiom strips, the sorted rest).  Divisors are taken in the tuple's
+    order and only while at least three insertions remain: one- and
+    two-point values are primitive inputs here.  Cached like
+    ``splittings``."""
+    if 0 in ins:
+        return None
+    work = list(ins)
+    divisors = []
+    while len(work) >= 3:
+        d = next((i for i in work if CODIM[i] == 1), None)
+        if d is None:
+            break
+        work.remove(d)
+        divisors.append(d)
+    return (sum(CODIM[i] for i in ins) - len(ins) - 1, tuple(divisors),
+            tuple(sorted(work)))
+
+
 @lru_cache(maxsize=1)
 def _dual_groups_by_codim() -> Tuple[Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...], ...]:
     """The groups of ``scaled_dual_groups()`` (weights D * g^{ef}) split by
@@ -334,6 +361,16 @@ def _checked_key(beta: Sequence[int], insertions: Sequence, vectors: bool) -> Be
         raise UsageError("invariants want a nonzero effective class, got %r" % (beta,))
     check_insertions(insertions, vectors)
     return beta
+
+
+def _checked_instance(corners: Tuple[int, int, int, int], extra: Sequence[int],
+                      beta: Sequence[int]) -> Tuple[Beta, Insertions]:
+    """The class and the sorted extra insertions of a public WDVV instance,
+    after checking them as ``_checked_key`` does, with ``extra`` a
+    sequence.  Raises UsageError."""
+    if not isinstance(extra, Sequence):
+        raise UsageError("extra insertions want a sequence of basis indices, got %r" % (extra,))
+    return _checked_key(beta, corners + tuple(extra), vectors=False), tuple(sorted(extra))
 
 
 def _expand(insertions: Iterable) -> Iterator[Tuple[Insertions, Union[int, Fraction]]]:
@@ -781,25 +818,20 @@ class Engine:
         """Apply the fundamental-class, dimension and divisor axioms.
 
         Returns (factor, key) with key None when the invariant is an exact
-        zero.  Divisors are only removed while at least two insertions
-        remain: one- and two-point values are primitive inputs here.
+        zero.  The class-free part is ``_normal_plan(ins)``; here only a+b
+        is compared and the stripped divisors' degrees are multiplied, in
+        the plan's order, up to the first zero degree.
         """
-        if 0 in ins:
-            return 0, None
-        if not dimension_check(beta, ins):
+        plan = _normal_plan(ins)
+        if plan is None or 2 * (beta[0] + beta[1]) != plan[0]:
             return 0, None
         factor = 1
-        work = list(ins)
-        while len(work) >= 3:
-            d = next((i for i in work if CODIM[i] == 1), None)
-            if d is None:
-                break
-            work.remove(d)
+        for d in plan[1]:
             deg = divisor_degree(d, beta)
             if deg == 0:
                 return 0, None
             factor *= deg
-        return factor, (beta, tuple(sorted(work)))
+        return factor, (beta, plan[2])
 
     def _invariant(self, beta: Beta, ins: Insertions) -> Value:
         raw = (beta, ins)
@@ -1151,20 +1183,19 @@ class Engine:
         symbol; everything else is evaluated by the engine (a poisoned
         expression names the first Unknown met).  Raises UsageError on a
         class or index ``invariant`` would refuse."""
-        beta = _checked_key(beta, (i, j, k, l, *extra), vectors=False)
+        beta, extra = _checked_instance((i, j, k, l), extra, beta)
         # the solver's two-point keys are exactly the two-point keys in origin
         ctx = _Context(lambda key: (len(key[1]) <= 2 and key not in self.origin
                                     and self.seeds.lookup(*key) is None))
-        return self._instance_expr((i, j, k, l), tuple(sorted(extra)), beta, ctx)
+        return self._instance_expr((i, j, k, l), extra, beta, ctx)
 
     def wdvv_residual(self, i: int, j: int, k: int, l: int,
                       extra: Sequence[int], beta: Beta) -> Value:
         """Numeric residual of one associativity instance (zero when the
         computed invariants satisfy the equation; Unknown if any term is).
         Checked like ``wdvv_instance``."""
-        beta = _checked_key(beta, (i, j, k, l, *extra), vectors=False)
-        return _public(self._instance_expr((i, j, k, l), tuple(sorted(extra)), beta,
-                                           _Context()).value())
+        beta, extra = _checked_instance((i, j, k, l), extra, beta)
+        return _public(self._instance_expr((i, j, k, l), extra, beta, _Context()).value())
 
 
 class _Context:

@@ -400,11 +400,17 @@ class _Evaluator:
 def verify_all(engine: Engine, ids: Optional[Sequence[int]] = None) -> Dict[int, QCohVector]:
     """Residual of each relation (all seventeen, or those in ``ids``) by
     id: identically zero up to the engine's c_max."""
-    relations = load_relations()
-    wanted = set(range(1, 18) if ids is None else ids)
-    bad = sorted(wanted - {rel.id for rel in relations})
+    if ids is None:
+        ids = range(1, 18)
+    elif not isinstance(ids, Sequence):
+        raise UsageError("relation ids want a sequence of ints 1..17, got %r" % (ids,))
+    # type(x) is int: True would otherwise pass as relation 1
+    bad = (sorted({x for x in ids if type(x) is int and not 1 <= x <= 17})
+           + [x for x in ids if type(x) is not int])
     if bad:
         raise UsageError("relation ids are 1..17, got %s" % " ".join(map(str, bad)))
+    relations = load_relations()
+    wanted = set(ids)
     ev = _Evaluator(SmallQuantum(engine))
     return {rel.id: ev.run(rel.ast) for rel in relations if rel.id in wanted}
 
@@ -439,6 +445,8 @@ def gamma(engine: Engine, i: int, j: int, k: int, y_truncation: int = 2) -> Gamm
     """All coefficients of the deformation series for one index triple,
     up to total y-degree ``y_truncation`` and the engine's q3-order."""
     check_insertions((i, j, k), vectors=False)
+    if type(y_truncation) is not int or y_truncation < 0:
+        raise UsageError("y_truncation wants an int >= 0, got %r" % (y_truncation,))
     c_max = engine.c_max
     series = GammaSeries(i, j, k, y_truncation, c_max)
     if 0 in (i, j, k):

@@ -19,6 +19,7 @@ from qhilb.gw_engine import (
     _Context,
     _contract,
     _make_row,
+    _normal_plan,
     dimension_check,
     dimension_classes,
     iota_beta,
@@ -149,6 +150,8 @@ def test_invariant_rejects_bad_insertions(engine, insertions):
     ((3, 13, 1, 10), (), (1.5, 1, 1)),
     ((3, 13, 1, 10), (-1,), (1, 1, 1)),
     ((3, 13, 1, 10), (14,), (1, 1, 1)),
+    ((1, 1, 2, 11), 5, (0, 1, 1)),  # extra is not a sequence
+    ((1, 1, 2, 11), None, (0, 1, 1)),
 ])
 def test_wdvv_surface_rejects_bad_indices(engine, corners, extra, beta):
     # checked like invariant's arguments, before any instance is built
@@ -521,6 +524,16 @@ def test_boundary_compiled_once_per_shape():
     info = _boundary_terms.cache_info()
     assert (info.misses, info.hits) == (129, 304)
     assert info.hits + info.misses == eng.stats["wdvv_instances"] + eng.stats["solver_instances"]
+
+
+def test_normal_plan_cached_per_raw_tuple():
+    # the axioms' class-free part is worked out once per raw insertion
+    # tuple: every other normalization of the query is one cache hit
+    _normal_plan.cache_clear()
+    eng = Engine(c_max=2)
+    assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
+    info = _normal_plan.cache_info()
+    assert (info.misses, info.hits) == (488, 2000)
 
 
 def test_add_scaled_accumulates_in_place():

@@ -246,10 +246,24 @@ def test_single_relation_verify(engine2, engine3):
     assert verify_all(engine3, [9])[9].is_zero()
 
 
+@pytest.mark.parametrize("ids", [[True], [0], [18], [1, 2.0], ["3"], 5])
+def test_verify_all_rejects_bad_ids(engine2, ids):
+    # relation ids are ints 1..17 in a sequence; True is not relation 1
+    with pytest.raises(UsageError):
+        verify_all(engine2, ids)
+
+
 # -- gamma series --------------------------------------------------------------------
 
 def test_gamma_vanishes_with_unit_index(engine2):
     assert gamma(engine2, 0, 3, 3, y_truncation=1).terms == {}
+
+
+@pytest.mark.parametrize("y_truncation", [-1, 1.5, True, "2", None])
+def test_gamma_rejects_bad_y_truncation(engine2, y_truncation):
+    # a non-negative int, and not a bool: True must not run as 1
+    with pytest.raises(UsageError):
+        gamma(engine2, 1, 1, 8, y_truncation=y_truncation)
 
 
 def test_gamma_three_point_part(engine2):
