@@ -18,6 +18,8 @@ Rational = Fraction
 
 QMonomial = Tuple[int, int, int]  # exponents of (q1, q2, q3)
 
+_ZERO = Fraction(0)
+
 
 class TruncationMismatch(ValueError):
     """Two series with different c_max met in one operation."""
@@ -65,7 +67,7 @@ class QSeries:
                     "monomial %s beyond truncation q3^%d" % (monomial_str(m), c_max)
                 )
             if coeff != 0:
-                clean[m] = Fraction(coeff)
+                clean[m] = coeff if type(coeff) is Fraction else Fraction(coeff)
         self.terms = clean
         self.c_max = c_max
 
@@ -99,7 +101,7 @@ class QSeries:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, _ZERO) + c
         return QSeries(terms, self.c_max)
 
     def __neg__(self) -> "QSeries":
@@ -119,7 +121,7 @@ class QSeries:
                 if e3 > self.c_max:
                     continue
                 m = (m1[0] + m2[0], m1[1] + m2[1], e3)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                terms[m] = terms.get(m, _ZERO) + c1 * c2
         return QSeries(terms, self.c_max)
 
     __rmul__ = __mul__
@@ -141,7 +143,7 @@ class QSeries:
                 "coefficient of %s not retained at c_max=%d"
                 % (monomial_str(m), self.c_max)
             )
-        return self.terms.get(tuple(m), Fraction(0))
+        return self.terms.get(tuple(m), _ZERO)
 
     def truncate(self, c_max: int) -> "QSeries":
         """Re-truncate to a smaller (or equal) order."""
@@ -155,7 +157,7 @@ class QSeries:
         return not self.terms
 
     def constant_term(self) -> Rational:
-        return self.terms.get((0, 0, 0), Fraction(0))
+        return self.terms.get((0, 0, 0), _ZERO)
 
     def _key(self):
         return (self.c_max, tuple(sorted(self.terms.items())))

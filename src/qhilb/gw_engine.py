@@ -28,6 +28,15 @@ they meet.  ``origin`` maps a derived normalized key to a note saying
 how it was obtained (the two-point solver, or the associativity instance
 that determined it); seed values need no entry.
 
+Every invariant is fixed by the involution that swaps the two factors,
+<gamma>_(a,b,c) = <iota gamma>_(b,a,c).  The seeds and the two-point
+solver store both orientations; a normalized key with three or more
+insertions whose mirror is already a number in ``memo`` takes that
+number instead of an associativity instance, with the mirror's origin
+note plus " (involution image)", counted in ``stats["involution_hits"]``.
+An Unknown mirror is never reused: the key is derived on its own, so
+every Unknown keeps a reason of its own.
+
 A private third table holds interior rows for the associativity sums: the
 values of <x y t P>_b for every t of one codimension group, keyed by
 (b, x, y, P, codim) with x, y, P in the raw order the sum looks them up.
@@ -343,8 +352,11 @@ def _contract(rows: Dict[tuple, _Row], e_key: tuple, b: Beta, x: int, y: int,
 
 
 def check_insertions(insertions: Sequence, vectors: bool) -> None:
-    """Raise UsageError unless every insertion is a basis index 0..13 (or,
-    with ``vectors``, a CohVector)."""
+    """Raise UsageError unless the insertions are a sequence of basis
+    indices 0..13 (or, with ``vectors``, CohVectors)."""
+    # the ABC check is slow next to a memo hit, so lists and tuples skip it
+    if type(insertions) not in (list, tuple) and not isinstance(insertions, Sequence):
+        raise UsageError("insertions want a sequence of basis indices, got %r" % (insertions,))
     for x in insertions:
         if not (type(x) is int and 0 <= x < chow.BASIS_SIZE
                 or vectors and isinstance(x, CohVector)):
@@ -762,7 +774,7 @@ class Engine:
         self._rows: Dict[tuple, _Row] = {}
         self._solved_betas = set()
         self._solving = set()
-        self.stats = {"wdvv_instances": 0, "solver_instances": 0}
+        self.stats = {"wdvv_instances": 0, "solver_instances": 0, "involution_hits": 0}
         self.tracing = False
         self.trace_log: List[InstanceRecord] = []
         self._solver_instances_used: List[Tuple] = []
@@ -865,6 +877,17 @@ class Engine:
         seed = self.seeds.lookup(beta, ins)
         if seed is not None:
             return LinExpr.of_value(seed[0])
+        if len(ins) >= 3:
+            # the factor swap fixes every invariant, so a mirror that is
+            # already a number is this key's value (it differs from the
+            # key, which missed the memo); an Unknown mirror is not reused
+            mkey = (iota_beta(beta), iota_insertions(ins))
+            mirror = self.memo.get(mkey)
+            if mirror is not None and not isinstance(mirror, Unknown):
+                self.memo[key] = mirror
+                self.origin[key] = self.origin[mkey] + " (involution image)"
+                self.stats["involution_hits"] += 1
+                return LinExpr.of_value(mirror)
         record = None
         if ins and all(i == 4 for i in ins):
             # pure incidence-class powers are seed material, never derived
@@ -1205,11 +1228,12 @@ class _Context:
     reduction, whose finished values go to the engine's value table, or a
     predicate (the solver's unknowns, or ``wdvv_instance``'s unseeded
     two-point keys), whose expressions are cached here instead and never
-    reach the value table.  ``targets`` are the keys whose instances are
-    being built; they stay symbolic too, so meeting one again inside its
-    own reduction closes the linear equation instead of recursing.
-    Expressions that mention a target are valid only while it is open and
-    are not cached.
+    reach the value table (a mirror's number that a key reuses is already
+    final and is stored in either case).  ``targets`` are the keys whose
+    instances are being built; they stay symbolic too, so meeting one
+    again inside its own reduction closes the linear equation instead of
+    recursing.  Expressions that mention a target are valid only while it
+    is open and are not cached.
     """
 
     __slots__ = ("open_rule", "targets", "cache")

@@ -28,6 +28,9 @@ class HyperellipticQuery:
     """Bidegree (d1, d2) with l conjugate point pairs; k + 3l = r."""
 
     def __init__(self, d1: int, d2: int, l: int = 0):
+        for name, value in (("d1", d1), ("d2", d2), ("l", l)):
+            if type(value) is not int:
+                raise UsageError("%s wants an int, got %r" % (name, value))
         if d1 < 1 or d2 < 1:
             raise UsageError("bidegree components must be positive")
         if l < 0:
@@ -50,8 +53,8 @@ class HyperellipticQuery:
 
 
 def _check_genus(d1: int, d2: int, g: int) -> None:
-    if not 0 <= g <= d1 + d2 - 1:
-        raise UsageError("genus %d is outside 0..%d" % (g, d1 + d2 - 1))
+    if type(g) is not int or not 0 <= g <= d1 + d2 - 1:
+        raise UsageError("genus %r is outside 0..%d" % (g, d1 + d2 - 1))
 
 
 def beta_of(d1: int, d2: int, g: int) -> Beta:

@@ -132,12 +132,28 @@ def test_criterion_7_axiom_suite(engine):
             rng.shuffle(shuffled)
             ok &= engine.invariant(beta, shuffled) == ref
 
-    # involution equivariance on every memoized Known key so far
+    # involution equivariance on every memoized Known key so far, the
+    # images asked on a fresh engine
     snapshot = [(k, v) for k, v in list(engine.memo.items())
                 if not isinstance(v, Unknown)]
     ok &= len(snapshot) > 100
+    images = Engine(c_max=engine.c_max)
     for (beta, ins), value in snapshot:
-        ok &= engine.invariant(iota_beta(beta), list(iota_insertions(ins))) == value
+        ok &= images.invariant(iota_beta(beta), list(iota_insertions(ins))) == value
+    # and independently: 100 of the keys the shared engine derived by an
+    # instance of their own, each image derived on its own fresh engine,
+    # where it cannot be the reused value of its mirror
+    own = sorted(k for k, _ in snapshot if len(k[1]) >= 3
+                 and (iota_beta(k[0]), iota_insertions(k[1])) != k
+                 and engine.origin.get(k, "").startswith("WDVV ")
+                 and not engine.origin[k].endswith("(involution image)"))
+    ok &= len(own) > 100
+    for beta, ins in random.Random(2718).sample(own, 100):
+        image = (iota_beta(beta), iota_insertions(ins))
+        fresh = Engine(c_max=engine.c_max)
+        ok &= fresh.invariant(*image) == engine.memo[(beta, ins)]
+        ok &= fresh.origin[image].startswith("WDVV ")
+        ok &= not fresh.origin[image].endswith("(involution image)")
 
     # WDVV spot checks on held-out instances with all terms Known
     used = set(engine._solver_instances_used)

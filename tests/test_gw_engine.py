@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from qhilb.chow import CODIM, CohVector, UsageError, cup_basis, dual_groups, scaled_dual_groups
+from qhilb.coeffring import rat_str
 from qhilb.gw_engine import (
     _EMPTY_ROW,
     _SEED_RULES,
@@ -135,9 +136,10 @@ def test_invariant_rejects_bad_beta(engine):
                 method(beta, [13])
 
 
-@pytest.mark.parametrize("insertions", [[-1, 13], [13.7], [99], [True], [13.0], ["13"]])
+@pytest.mark.parametrize("insertions", [[-1, 13], [13.7], [99], [True], [13.0], ["13"], 13, None])
 def test_invariant_rejects_bad_insertions(engine, insertions):
-    # neither a CohVector nor an integer basis index in 0..13
+    # neither a CohVector nor an integer basis index in 0..13, or not a
+    # sequence of them
     for method in (engine.invariant, engine.provenance_of):
         with pytest.raises(UsageError):
             method((1, 0, 1), insertions)
@@ -423,13 +425,80 @@ def test_known_set_monotone_in_c_max():
             assert large[key] == v, key
 
 
-def test_iota_equivariance_spot(engine):
-    keys = [((1, 1, 2), (4, 4, 13)), ((1, 0, 2), (4, 4, 8)),
-            ((2, 1, 2), (13, 4, 13)), ((0, 1, 1), (5, 11))]
-    for beta, ins in keys:
-        lhs = engine.invariant(beta, list(ins))
-        rhs = engine.invariant(iota_beta(beta), list(iota_insertions(ins)))
-        assert lhs == rhs, (beta, ins)
+def _mirror(key):
+    return iota_beta(key[0]), iota_insertions(key[1])
+
+
+def test_iota_equivariance_spot():
+    # each orientation is derived on its own fresh engine, by an instance of
+    # its own, so the two values are computed independently
+    keys = [((1, 1, 2), (4, 6, 13)), ((1, 0, 2), (4, 4, 8)), ((2, 1, 2), (4, 13, 13))]
+    for key in keys:
+        values = []
+        for oriented in (key, _mirror(key)):
+            eng = Engine(c_max=2)
+            values.append(eng.invariant(*oriented))
+            assert eng.origin[oriented].startswith("WDVV "), oriented
+            assert "involution image" not in eng.origin[oriented], oriented
+        assert _mirror(key) != key and values[0] == values[1], key
+
+
+_MIRRORED = ((1, 0, 2), (4, 4, 8))
+
+
+def test_mirror_value_reused_and_labelled():
+    # a key whose mirror is already a number takes that number, is
+    # labelled as its image and counted, and builds no instance of its own
+    eng = Engine(c_max=2)
+    value = eng.invariant(*_MIRRORED)
+    image = _mirror(_MIRRORED)
+    before = dict(eng.stats)
+    assert eng.invariant(*image) == value
+    assert eng.stats == dict(before, involution_hits=before["involution_hits"] + 1)
+    note = eng.origin[_MIRRORED] + " (involution image)"
+    assert eng.origin[image] == note
+    assert eng.provenance_of(*image) == note
+    # the reused number equals the mirror key's own derivation
+    fresh = Engine(c_max=2)
+    assert fresh.invariant(*image) == value
+    assert "involution image" not in fresh.origin[image]
+
+
+def test_unknown_mirror_not_reused():
+    # an Unknown mirror is derived again, so its reason stays its own
+    eng = Engine(c_max=1)
+    key = ((3, 1, 1), (4,) * 6 + (13,))
+    image = _mirror(key)
+    first = eng.invariant(*key)
+    assert isinstance(first, Unknown) and "(2,0,0)" in first.reason
+    second = eng.invariant(*image)
+    assert isinstance(second, Unknown) and "(0,2,0)" in second.reason
+    assert image not in eng.origin
+    assert second == Engine(c_max=1).invariant(*image)
+
+
+def test_answers_do_not_depend_on_query_order():
+    # every dimension-consistent key with a + b <= 2, c <= 4 and one to five
+    # insertions from T1..T13, asked in forward order on one engine and in
+    # reverse order on another: each answer (a mirror's value reused or
+    # not) matches the frozen engine output, an Unknown staying Unknown
+    pool = [((a, b, c), ins)
+            for a in range(3) for b in range(3 - a) for c in range(5) if (a, b, c) != (0, 0, 0)
+            for n in range(1, 6)
+            for ins in itertools.combinations_with_replacement(range(1, 14), n)
+            if sum(CODIM[i] for i in ins) == 2 * a + 2 * b + 1 + n]
+    path = Path(__file__).parent.parent / "perfbench" / "expected" / "stream_pool_c4.txt"
+    with open(path) as fh:
+        want = [line.rstrip("\n") for line in fh if not line.startswith("#")]
+    assert len(pool) == len(want) == 33700
+    for order in (1, -1):
+        eng = Engine(c_max=4)
+        got = {}
+        for key in pool[::order]:
+            value = eng.invariant(*key)
+            got[key] = "UNKNOWN" if isinstance(value, Unknown) else rat_str(value)
+        assert [got[key] for key in pool] == want
+        assert eng.stats["involution_hits"] > 0
 
 
 # -- seed table mechanics ----------------------------------------------------------
@@ -486,15 +555,16 @@ def test_provenance_strings(engine):
         "WDVV double-T4 instance: corners(T4,T4,T5,T5) extra(-) at (1, 1, 2)")
 
 
-@pytest.mark.parametrize("beta, ins, value, wdvv, solver", [
-    ((1, 1, 2), [4, 4, 13], 2, 322, 111),
-    ((1, 1, 1), [4, 4, 4, 12], 0, 123, 42),
-])
-def test_work_counters_pinned(beta, ins, value, wdvv, solver):
+@pytest.mark.parametrize("beta, ins, value, wdvv, solver, hits", [
+    ((1, 1, 2), [4, 4, 13], 2, 238, 111, 84),
+    ((1, 1, 1), [4, 4, 4, 12], 0, 86, 42, 36),
+], ids=["T4T4T13", "T4T4T4T12"])
+def test_work_counters_pinned(beta, ins, value, wdvv, solver, hits):
     # the work one cold query costs; re-deriving a memoized key raises it
     eng = Engine(c_max=2)
     assert eng.invariant(beta, ins) == value
-    assert eng.stats == {"wdvv_instances": wdvv, "solver_instances": solver}
+    assert eng.stats == {"wdvv_instances": wdvv, "solver_instances": solver,
+                         "involution_hits": hits}
 
 
 def test_interior_lookups_pinned(monkeypatch):
@@ -511,8 +581,8 @@ def test_interior_lookups_pinned(monkeypatch):
     monkeypatch.setattr(Engine, "_invariant", counting)
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
-    assert calls[0] == 2881
-    assert eng.stats == {"wdvv_instances": 322, "solver_instances": 111}
+    assert calls[0] == 2602
+    assert eng.stats == {"wdvv_instances": 238, "solver_instances": 111, "involution_hits": 84}
 
 
 def test_boundary_compiled_once_per_shape():
@@ -522,7 +592,7 @@ def test_boundary_compiled_once_per_shape():
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
     info = _boundary_terms.cache_info()
-    assert (info.misses, info.hits) == (129, 304)
+    assert (info.misses, info.hits) == (111, 238)
     assert info.hits + info.misses == eng.stats["wdvv_instances"] + eng.stats["solver_instances"]
 
 
@@ -533,7 +603,7 @@ def test_normal_plan_cached_per_raw_tuple():
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
     info = _normal_plan.cache_info()
-    assert (info.misses, info.hits) == (488, 2000)
+    assert (info.misses, info.hits) == (457, 1705)
 
 
 def test_add_scaled_accumulates_in_place():

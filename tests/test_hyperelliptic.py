@@ -29,7 +29,7 @@ def test_beta_of():
     assert beta_of(3, 2, 2) == (2, 3, 2)
     assert beta_of(1, 1, 1) == (1, 1, 0)
     assert beta_of(4, 2, 5) == (2, 4, 0)  # maximal genus lands on c = 0
-    for g in (5, -1):
+    for g in (5, -1, 0.5, True):
         with pytest.raises(UsageError):
             beta_of(1, 1, g)
 
@@ -42,6 +42,14 @@ def test_query_validation():
         HyperellipticQuery(0, 2)
     with pytest.raises(UsageError):
         HyperellipticQuery(1, 1, l=2)  # k would be negative
+
+
+@pytest.mark.parametrize("args", [(1.5, 1), (1, 1, 0.5), (True, 1), (1, True, 1),
+                                  (1, 1, False), ("1", 1), (1, 1, None)])
+def test_query_wants_ints(args):
+    # bools and integral floats are not read as ints
+    with pytest.raises(UsageError, match="wants an int"):
+        HyperellipticQuery(*args)
 
 
 def test_seed_vanishing():
@@ -102,7 +110,7 @@ def test_g_min_outside_genus_range_rejected():
     # a g_min outside 0..d1+d2-1 is a usage error, not an empty table
     eng = Engine(c_max=2)
     q = HyperellipticQuery(1, 1)
-    for g_min in (-1, 2, 5):
+    for g_min in (-1, 2, 5, 0.5, 1.0, True, None):
         with pytest.raises(UsageError):
             count_table(q, eng, g_min=g_min)
         with pytest.raises(UsageError):
@@ -144,10 +152,18 @@ def test_bidegree_vanishing_columns(engine_bidegree):
         assert all(v == 0 for v in table.counts.values()), (d1, d2)
 
 
-def test_iota_symmetry_of_tables(engine_bidegree):
-    a = count_table(HyperellipticQuery(1, 2, l=1), engine_bidegree)
-    b = count_table(HyperellipticQuery(2, 1, l=1), engine_bidegree)
-    assert a.counts == b.counts
+def test_iota_symmetry_of_tables():
+    # each orientation on its own fresh engine, every invariant of the
+    # column derived by an instance of its own, not reused from its mirror
+    tables = []
+    for d1, d2 in ((1, 2), (2, 1)):
+        q = HyperellipticQuery(d1, d2, l=1)
+        eng = Engine(c_max=4, enable_bidegree_vanishing=True)
+        tables.append(count_table(q, eng).counts)
+        for g in range(q.h_max + 1):
+            note = eng.origin[(beta_of(d1, d2, g), tuple(sorted(q.insertions())))]
+            assert note.startswith("WDVV ") and "involution image" not in note, (d1, d2, g)
+    assert tables[0] == tables[1]
 
 
 def test_rows_shape(engine):

@@ -198,8 +198,8 @@ def test_basis_products_match_frozen_golden(engine):
 
 def test_basis_product_fraction_constructions_pinned(fraction_count):
     # the product sums its invariants in integers (weights D g^{ef}) and
-    # builds each quantum coefficient once; most of the rest is QSeries
-    # arithmetic
+    # builds each quantum coefficient once (1,004 of the count); QSeries
+    # keeps those Fractions as they are
     def all_products():
         ring = SmallQuantum(Engine(c_max=2))
         for i in range(chow.BASIS_SIZE):
@@ -208,7 +208,7 @@ def test_basis_product_fraction_constructions_pinned(fraction_count):
 
     all_products()  # fill the module caches
     _, calls = fraction_count(all_products)
-    assert calls == 1722  # 11,465 when basis_product summed Fractions
+    assert calls == 1087  # 11,465 when basis_product summed Fractions
 
 
 # -- relations ---------------------------------------------------------------------
