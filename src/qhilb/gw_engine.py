@@ -41,7 +41,8 @@ A private third table holds interior rows for the associativity sums: the
 values of <x y t P>_b for every t of one codimension group, keyed by
 (b, x, y, P, codim) with x, y, P in the raw order the sum looks them up.
 A row only filters memo values (it drops zeros) and is stored once every
-entry of its group has been looked up.  Memo entries under raw keys with
+entry of its group has been looked up, or, for a dead row (below), with
+none looked up.  Memo entries under raw keys with
 three or more insertions are written once, so a stored row stays equal to
 what its lookups would return; a normalized two-point entry can still go
 from Unknown to a value, which is why rows are keyed in raw order, never
@@ -51,6 +52,23 @@ keys.  A sum whose rows are all stored and free of Unknowns contracts
 them in integers instead of looking the entries up again.  The in-order
 loop that runs otherwise weights its terms with the same integers, D times
 the inverse pairing, so each instance divides its interior sum by D once.
+
+A row is dead when every entry is an exact zero: it is stored as the
+empty row, or the fundamental-class, dimension or divisor axiom zeroes
+<x y t P>_b for every t of its group (a codimension-0 group is T0 alone;
+often the first divisor stripped has degree 0 on b).  A side of a sum
+(one split and partition, one corner pairing) with a dead e-row or f-row
+contributes exactly 0, even against an Unknown factor, which an exact
+zero absorbs.  So the contraction takes it as 0 and the in-order loop
+leaves it out, looking up none of its entries.  The verdict is reached
+once per row, only for a row the table lacks: a dead row is stored as the
+empty row without any lookup, a live verdict is kept in a set.  Values,
+every Unknown reason and ``wdvv_residual`` are the same as when every
+side is evaluated.  What changes is the work: the memo holds fewer raw
+keys, fewer associativity instances are built (``stats``, ``trace_log``),
+the mirror that is derived first can change (so can ``origin`` notes on
+mirrored keys and ``solver_instances``), and on a warm engine
+``wdvv_instance`` can keep other two-point keys open.
 
 The four boundary terms of an associativity instance are compiled once
 per (corners, extra) shape by the cached ``_boundary_terms``: the cup
@@ -303,7 +321,8 @@ def _dual_groups_by_codim() -> Tuple[Tuple[Tuple[int, Tuple[Tuple[int, int], ...
 # Unknown values; image maps e to the sum over f of D * g^{ef} * value_f
 # (nonzero ones only), or is None when an entry is Unknown, which makes the
 # row unusable for contraction.  Every empty row is the one constant
-# _EMPTY_ROW (never mutated).
+# _EMPTY_ROW (never mutated), and so is every row the axioms make zero,
+# stored without a lookup (``Engine._judge_row``).
 _Row = Tuple[Tuple[Tuple[int, Value], ...], Optional[Dict[int, Union[int, Fraction]]]]
 _EMPTY_ROW: _Row = ((), {})
 
@@ -328,19 +347,21 @@ def _record_row(rows: Dict[tuple, _Row], key: tuple, values: Iterable[Tuple[int,
         rows[key] = _make_row(values)
 
 
-def _contract(rows: Dict[tuple, _Row], e_key: tuple, b: Beta, x: int, y: int,
-              part: Insertions, codim: int):
+def _contract(rows: Dict[tuple, _Row], judge: Callable[[tuple], Optional[_Row]], e_key: tuple,
+              b: Beta, x: int, y: int, part: Insertions, codim: int):
     """D times sum over (e, f) of e_row[e] g^{ef} f_row[f], from stored
-    rows, the f-row keyed by (b, x, y, part, codim): None unless the e-row
-    is stored and free of Unknowns and, when it has a nonzero entry, so is
-    the f-row.  The f-row key is built only in that case."""
-    e_row = rows.get(e_key)
-    if e_row is None or e_row[1] is None:
-        return None
-    if not e_row[0]:
+    rows, the f-row keyed by (b, x, y, part, codim): 0 when either row is
+    dead, else None unless both are stored and free of Unknowns.  A row
+    the table lacks is handed to ``judge`` (``Engine._judge_row``), which
+    returns _EMPTY_ROW for a dead one and None for a live one."""
+    e_row = rows.get(e_key) or judge(e_key)
+    if e_row is _EMPTY_ROW:
         return 0
-    f_row = rows.get((b, x, y, part, codim))
-    if f_row is None or f_row[1] is None:
+    f_key = (b, x, y, part, codim)
+    f_row = rows.get(f_key) or judge(f_key)
+    if f_row is _EMPTY_ROW:
+        return 0
+    if e_row is None or f_row is None or e_row[1] is None or f_row[1] is None:
         return None
     image = f_row[1]
     total = 0
@@ -351,26 +372,41 @@ def _contract(rows: Dict[tuple, _Row], e_key: tuple, b: Beta, x: int, y: int,
     return total
 
 
-def check_insertions(insertions: Sequence, vectors: bool) -> None:
+def check_insertions(insertions: Sequence, vectors: bool) -> bool:
     """Raise UsageError unless the insertions are a sequence of basis
-    indices 0..13 (or, with ``vectors``, CohVectors)."""
+    indices 0..13 (or, with ``vectors``, CohVectors); return whether every
+    one is a basis index."""
     # the ABC check is slow next to a memo hit, so lists and tuples skip it
     if type(insertions) not in (list, tuple) and not isinstance(insertions, Sequence):
         raise UsageError("insertions want a sequence of basis indices, got %r" % (insertions,))
+    indices = True
     for x in insertions:
-        if not (type(x) is int and 0 <= x < chow.BASIS_SIZE
-                or vectors and isinstance(x, CohVector)):
+        if type(x) is int and 0 <= x < chow.BASIS_SIZE:
+            continue
+        if not (vectors and isinstance(x, CohVector)):
             raise UsageError("insertions want basis indices 0..%d%s, got %r"
                              % (chow.BASIS_SIZE - 1, " or CohVectors" if vectors else "", x))
+        indices = False
+    return indices
+
+
+def _checked_class(beta: Sequence[int]) -> Beta:
+    """The class of a public query as a tuple, after checking it is three
+    non-negative ints, not all zero.  Raises UsageError."""
+    beta = tuple(beta)
+    if len(beta) == 3:
+        a, b, c = beta
+        if (type(a) is int and type(b) is int and type(c) is int
+                and a >= 0 and b >= 0 and c >= 0 and (a or b or c)):
+            return beta
+    raise UsageError("invariants want a nonzero effective class, got %r" % (beta,))
 
 
 def _checked_key(beta: Sequence[int], insertions: Sequence, vectors: bool) -> Beta:
-    """The class of a public query as a tuple, after checking it is three
-    non-negative ints, not all zero, and the insertions as
-    ``check_insertions`` does.  Raises UsageError."""
-    beta = tuple(beta)
-    if len(beta) != 3 or beta == (0, 0, 0) or not all(type(t) is int and t >= 0 for t in beta):
-        raise UsageError("invariants want a nonzero effective class, got %r" % (beta,))
+    """The class of a public query as ``_checked_class`` returns it, after
+    checking the insertions as ``check_insertions`` does.  Raises
+    UsageError."""
+    beta = _checked_class(beta)
     check_insertions(insertions, vectors)
     return beta
 
@@ -450,13 +486,24 @@ class SeedTable:
     it consults the rules, so each rule states only the a >= b family.
     Every entry satisfies the dimension axiom.  Rules may be disabled by
     name (used by the independence check, which re-derives the
-    associativity table instead of consulting it).
+    associativity table instead of consulting it); a name that is not a
+    rule's, or a bare string, is a UsageError.
     """
 
     def __init__(self, enable_bidegree_vanishing: bool = False,
                  disabled_rules: Iterable[str] = ()):
         self.enable_bidegree_vanishing = enable_bidegree_vanishing
+        if isinstance(disabled_rules, str):
+            raise UsageError("disabled seed rules want a collection of rule names, got %r"
+                             % (disabled_rules,))
         self.disabled_rules = frozenset(disabled_rules)
+        names = [name for name, _ in _SEED_RULES]
+        unknown = sorted(self.disabled_rules.difference(names))
+        if unknown:
+            raise UsageError("unknown seed rule %s; the rules are %s"
+                             % (", ".join(unknown), ", ".join(names)))
+        self._rules = tuple(rule for name, rule in _SEED_RULES
+                            if name not in self.disabled_rules)
         self.explicit: Dict[Key, Tuple[Value, str]] = {}
 
     # -- explicit entries --------------------------------------------------
@@ -552,9 +599,7 @@ class SeedTable:
             return hit
         if beta[0] < beta[1]:
             beta, ins = iota_beta(beta), iota_insertions(ins)
-        for name, rule in _SEED_RULES:
-            if name in self.disabled_rules:
-                continue
+        for rule in self._rules:
             got = rule(self, beta, ins)
             if got is not None:
                 return got
@@ -772,6 +817,7 @@ class Engine:
         self.memo: Dict[Key, Value] = {}
         self.origin: Dict[Key, str] = {}
         self._rows: Dict[tuple, _Row] = {}
+        self._live_rows: set = set()
         self._solved_betas = set()
         self._solving = set()
         self.stats = {"wdvv_instances": 0, "solver_instances": 0, "involution_hits": 0}
@@ -785,9 +831,10 @@ class Engine:
         """The genus-zero invariant of the class ``beta`` with the given
         insertions (basis indices, or CohVectors expanded multilinearly).
         Every term is evaluated; the first Unknown term is the result."""
-        beta = _checked_key(beta, insertions, vectors=True)
-        if all(type(x) is int for x in insertions):
-            return _public(self.invariant_value(beta, insertions))
+        beta = _checked_class(beta)
+        if check_insertions(insertions, vectors=True):
+            value = self._invariant(beta, tuple(sorted(insertions)))
+            return value if type(value) is Unknown else Fraction(value)
         total = 0
         unknown: Optional[Unknown] = None
         for ins, coeff in _expand(insertions):
@@ -802,7 +849,7 @@ class Engine:
         """The invariant of the class ``beta`` with basis-index insertions,
         as the engine keeps it: an int when it is integral, a Fraction only
         when it is not, or an Unknown.  The arguments are not checked.
-        ``invariant`` answers an all-index query through this and converts
+        ``invariant`` answers an all-index query the same way and converts
         the number to a Fraction; the quantum product reads its three-point
         invariants here, so that it can sum them in integers."""
         return self._invariant(beta, tuple(sorted(insertions)))
@@ -861,6 +908,28 @@ class Engine:
                 value = _exact(factor * value)
         self.memo[raw] = value
         return value
+
+    # -- interior rows ----------------------------------------------------------
+
+    def _judge_row(self, key: tuple) -> Optional[_Row]:
+        """The verdict on an interior row (b, x, y, P, codim) the row table
+        lacks: dead when the axioms make <x y t P>_b zero for every t of the
+        group (``_normalize`` gives no key), stored as _EMPTY_ROW and
+        returned; else live, kept in ``_live_rows``, and None."""
+        if key in self._live_rows:
+            return None
+        b, x, y, part, codim = key
+        for t, _ in _dual_groups_by_codim()[codim]:
+            if self._normalize(b, (x, y, t) + part)[1] is not None:
+                self._live_rows.add(key)
+                return None
+        self._rows[key] = _EMPTY_ROW
+        return _EMPTY_ROW
+
+    def _dead_row(self, key: tuple) -> bool:
+        """Whether every entry of the interior row is an exact zero: it is
+        stored as _EMPTY_ROW, or the axioms zero it (``_judge_row``)."""
+        return (self._rows.get(key) or self._judge_row(key)) is _EMPTY_ROW
 
     # -- the recursive reducer ------------------------------------------------
 
@@ -942,6 +1011,8 @@ class Engine:
         groups = _dual_groups_by_codim()
         interior = self._invariant
         rows = self._rows
+        judge = self._judge_row
+        dead = self._dead_row
         scaled_acc = 0  # D times the interior sum
         for b1, b2 in splittings(beta):
             for a_part, b_part, weight, excess in partitions:
@@ -955,20 +1026,28 @@ class Engine:
                 ce_rhs = base - CODIM[k]
                 # When every row this visit reads is stored and free of
                 # Unknowns, its lookups would all be memo hits: contract
-                # the rows instead.
-                lhs = (_contract(rows, (b1, i, j, a_part, ce_lhs), b2, k, l, b_part, 4 - ce_lhs)
-                       if 0 <= ce_lhs <= 4 else 0)
+                # the rows instead.  A side with a dead row is 0.
+                lhs = (_contract(rows, judge, (b1, i, j, a_part, ce_lhs), b2, k, l, b_part,
+                                 4 - ce_lhs) if 0 <= ce_lhs <= 4 else 0)
                 if lhs is not None:
-                    rhs = (_contract(rows, (b1, i, k, a_part, ce_rhs), b2, j, l, b_part, 4 - ce_rhs)
-                           if 0 <= ce_rhs <= 4 else 0)
+                    rhs = (_contract(rows, judge, (b1, i, k, a_part, ce_rhs), b2, j, l, b_part,
+                                     4 - ce_rhs) if 0 <= ce_rhs <= 4 else 0)
                     if rhs is not None:
                         scaled_acc += weight * (lhs - rhs)
                         continue
                 # Otherwise evaluate in the order of the sum over all
-                # (e, f), with the same D-scaled weights.  The f-side
+                # (e, f), with the same D-scaled weights, leaving out a
+                # side with a dead row: its terms are exact zeros, which
+                # absorb even an Unknown factor.  The f-side
                 # factors are kept in rows for this split and partition,
                 # each evaluated at its first use; each row is stored once
                 # its whole group is evaluated.
+                if 0 <= ce_lhs <= 4 and (dead((b1, i, j, a_part, ce_lhs))
+                                         or dead((b2, k, l, b_part, 4 - ce_lhs))):
+                    ce_lhs = -1
+                if 0 <= ce_rhs <= 4 and (dead((b1, i, k, a_part, ce_rhs))
+                                         or dead((b2, j, l, b_part, 4 - ce_rhs))):
+                    ce_rhs = -1
                 row_lhs: Dict[int, Value] = {}
                 row_rhs: Dict[int, Value] = {}
                 for ce in sorted({ce_lhs, ce_rhs}):

@@ -521,6 +521,19 @@ def test_seed_table_involution_closed(vanishing):
             assert table.lookup(beta, ins) == image, (disabled, beta, ins)
 
 
+def test_disabled_seed_rules_must_name_rules():
+    # a typo or a bare string would disable nothing, so an independence
+    # check run with it would test nothing
+    for disabled in (("s55",), ("s5", "bogus"), "s5"):
+        with pytest.raises(UsageError):
+            Engine(c_max=1, disabled_seed_rules=disabled)
+    names = [name for name, _ in _SEED_RULES]
+    table = SeedTable(disabled_rules=names)
+    assert table.lookup((1, 0, 1), (13,)) is None
+    assert SeedTable(disabled_rules=set(names) - {"s3"}).lookup((1, 0, 1), (13,)) == (
+        2, "one- and two-point values on the section-plus-fiber classes")
+
+
 def test_seed_overrides_roundtrip():
     lines = ["3,2,2 | 4 4 4 4 4 4 4 4 4 4 4 | 7/3 | synthetic value for testing"]
     eng = Engine(c_max=2, seed_overrides=lines)
@@ -556,8 +569,8 @@ def test_provenance_strings(engine):
 
 
 @pytest.mark.parametrize("beta, ins, value, wdvv, solver, hits", [
-    ((1, 1, 2), [4, 4, 13], 2, 238, 111, 84),
-    ((1, 1, 1), [4, 4, 4, 12], 0, 86, 42, 36),
+    ((1, 1, 2), [4, 4, 13], 2, 124, 111, 20),
+    ((1, 1, 1), [4, 4, 4, 12], 0, 85, 84, 18),
 ], ids=["T4T4T13", "T4T4T4T12"])
 def test_work_counters_pinned(beta, ins, value, wdvv, solver, hits):
     # the work one cold query costs; re-deriving a memoized key raises it
@@ -569,8 +582,10 @@ def test_work_counters_pinned(beta, ins, value, wdvv, solver, hits):
 
 def test_interior_lookups_pinned(monkeypatch):
     # the interior lookups one cold query makes: a sum whose rows are all
-    # stored contracts them instead of looking each entry up again (the
-    # loop without rows made 8,434 lookups here)
+    # stored contracts them instead of looking each entry up again, and a
+    # side whose row the axioms make zero is not looked up at all (the
+    # loop without rows made 8,434 lookups here, with rows but no dead
+    # sides 2,602)
     calls = [0]
     lookup = Engine._invariant
 
@@ -581,8 +596,8 @@ def test_interior_lookups_pinned(monkeypatch):
     monkeypatch.setattr(Engine, "_invariant", counting)
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
-    assert calls[0] == 2602
-    assert eng.stats == {"wdvv_instances": 238, "solver_instances": 111, "involution_hits": 84}
+    assert calls[0] == 215
+    assert eng.stats == {"wdvv_instances": 124, "solver_instances": 111, "involution_hits": 20}
 
 
 def test_boundary_compiled_once_per_shape():
@@ -592,7 +607,7 @@ def test_boundary_compiled_once_per_shape():
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
     info = _boundary_terms.cache_info()
-    assert (info.misses, info.hits) == (111, 238)
+    assert (info.misses, info.hits) == (86, 149)
     assert info.hits + info.misses == eng.stats["wdvv_instances"] + eng.stats["solver_instances"]
 
 
@@ -603,7 +618,7 @@ def test_normal_plan_cached_per_raw_tuple():
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
     info = _normal_plan.cache_info()
-    assert (info.misses, info.hits) == (457, 1705)
+    assert (info.misses, info.hits) == (314, 1201)
 
 
 def test_add_scaled_accumulates_in_place():
@@ -631,7 +646,7 @@ def test_row_contraction_is_exact():
         rows = {e_key: _make_row(e_vals.items()), f_key: _make_row(f_vals.items())}
         want = sum((e_vals[e] * w * f_vals[f] for e, fws in dual_groups()
                     if CODIM[e] == ce for f, w in fws), Fraction(0))
-        assert Fraction(_contract(rows, e_key, *f_key), denom) == want
+        assert Fraction(_contract(rows, _live, e_key, *f_key), denom) == want
         for _, v in rows[e_key][0] + rows[f_key][0]:
             assert v and (type(v) is int or v.denominator > 1)
     assert _make_row([(4, Fraction(0)), (5, Fraction(0))]) is _EMPTY_ROW
@@ -639,10 +654,67 @@ def test_row_contraction_is_exact():
     e_key, f_key, empty, missing = (((1, 0, 0), 1, 1, (), c) for c in range(4))
     rows = {e_key: _make_row([(4, Unknown("x"))]), f_key: _make_row([(9, Fraction(1))]),
             empty: _make_row([])}
-    assert _contract(rows, e_key, *f_key) is None
-    assert _contract(rows, f_key, *e_key) is None
-    assert _contract(rows, empty, *missing) == 0
-    assert _contract(rows, missing, *f_key) is None
+    assert _contract(rows, _live, e_key, *f_key) is None
+    assert _contract(rows, _live, f_key, *e_key) is None
+    assert _contract(rows, _live, empty, *missing) == 0
+    assert _contract(rows, _live, missing, *f_key) is None
+
+
+def _live(key):
+    # the verdict on every row the table lacks: live, not stored
+    return None
+
+
+# -- dead interior rows ---------------------------------------------------------
+
+def test_axioms_make_a_row_dead():
+    eng = Engine(c_max=2)
+    # a codimension-0 group is T0 alone: the fundamental-class axiom
+    t0 = ((1, 0, 0), 1, 1, (), 0)
+    # the first stripped divisor T3 has degree c = 0 on (1, 0, 0)
+    corner = ((1, 0, 0), 3, 4, (), 3)
+    for key in (t0, corner):
+        assert eng._dead_row(key)
+        assert eng._rows[key] is _EMPTY_ROW and key not in eng._live_rows
+    # T3 has degree 1 on (1, 0, 1); on (1, 0, 0) of T1, T2, T3 only T2 has
+    # a nonzero degree, so <T4 T10 t> passes the axioms for t = T2 alone
+    for key in (((1, 0, 1), 3, 4, (), 3), ((1, 0, 0), 4, 10, (), 1)):
+        assert not eng._dead_row(key)
+        assert key not in eng._rows and key in eng._live_rows
+    assert [eng._normalize((1, 0, 0), (4, 10, t))[1] is None
+            for t in (1, 2, 3)] == [True, False, True]
+
+
+def test_stored_rows_are_dead_only_when_empty():
+    eng = Engine(c_max=2)
+    key = ((1, 0, 1), 3, 4, (), 3)  # live by the axioms
+    eng._rows[key] = _EMPTY_ROW
+    assert eng._dead_row(key)
+    # a stored row with entries is live, even where its image is empty
+    # or it is all Unknown
+    for row in ((((10, 1),), {}), (((10, Unknown("x")),), None)):
+        eng._rows[key] = row
+        assert not eng._dead_row(key)
+    # so an Unknown e-row facing it is not contracted to 0
+    e_key = ((0, 1, 0), 1, 2, (), 1)
+    eng._rows[e_key] = _make_row([(1, Unknown("y"))])
+    eng._rows[key] = (((10, 1),), {})
+    assert _contract(eng._rows, eng._judge_row, e_key, *key) is None
+
+
+def test_dead_side_absorbs_an_unknown_row():
+    # <T4^4 T13>_(1,2,1) at c_max 1 meets the row of <T4 T4 t T4 T4>_(0,2,0),
+    # which holds the Unknown <T4^5>_(0,2,0), against the f-row
+    # <T1 T2 f>_(0,0,1), which T1's degree 0 on (0,0,1) makes dead: that
+    # side is 0, as in the reference loop, which multiplies the Unknown
+    # by exact zeros
+    eng = Engine(c_max=1)
+    assert eng.invariant((1, 2, 1), [4, 4, 4, 4, 13]) == 0
+    e_key, f_key = ((0, 2, 0), 4, 4, (4, 4), 2), ((0, 0, 1), 1, 2, (), 2)
+    assert eng._rows[e_key][1] is None
+    assert any(isinstance(v, Unknown) for _, v in eng._rows[e_key][0])
+    assert eng._rows[f_key] is _EMPTY_ROW
+    assert _contract(eng._rows, eng._judge_row, e_key, *f_key) == 0
 
 
 # -- number types ----------------------------------------------------------------

@@ -216,6 +216,16 @@ def test_genus_zero_two_pairs_is_kontsevich_manin_at_degree_six():
     assert got == [rational_count(d1, 6 - d1) for d1 in range(1, 6)] == [1, 640, 3510, 640, 1]
 
 
+def test_genus_zero_two_pairs_is_kontsevich_manin_at_degree_seven():
+    # the d1 + d2 = 7 columns reach q3^6; deep in the recursion, most
+    # interior sides are ones the axioms make zero
+    eng = Engine(c_max=6, enable_bidegree_vanishing=True)
+    got = [count_table(HyperellipticQuery(d1, 7 - d1, l=2), eng).counts[0]
+           for d1 in range(1, 7)]
+    assert got == [rational_count(d1, 7 - d1) for d1 in range(1, 7)] == [
+        1, 3840, 87544, 87544, 3840, 1]
+
+
 def test_vanishing_flag_is_conservative(engine, engine_bidegree):
     # the optional rule may only turn Unknowns into zeros: every value the
     # default configuration knows must come out unchanged

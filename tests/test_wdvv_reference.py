@@ -1,13 +1,15 @@
 """The engine's associativity loop against the full reference loop.
 
 Each case runs on two fresh engines, one with the engine's own loop and
-one with ``reference_wdvv``'s.  They must agree exactly: the same values
-and the same first Unknown, the same instances in the same order, the
-same counters and origin notes.  The only keys the reference evaluates
-and the engine does not are ones the dimension or fundamental-class
-axiom makes zero.  The warm-engine cases run many queries on one engine,
-so that instances meet interior rows stored by earlier ones and contract
-them instead of looking their entries up.
+one with ``reference_wdvv``'s.  They must agree exactly on values, on the
+first Unknown and on the expressions of instances.  The engine does less
+work: it leaves out the interior sides whose rows the axioms make zero,
+so it builds no more associativity instances than the reference and
+stores fewer keys, but every key the reference stored has the same value
+or the same Unknown reason when asked of the engine afterwards.  The
+warm-engine cases run many queries on one engine, so that instances meet
+interior rows stored by earlier ones and contract them instead of
+looking their entries up.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from qhilb.gw_engine import (Engine, LinExpr, Unknown, _boundary_terms, _Context,
-                             _corner_quadruples, dimension_check)
+                             _corner_quadruples)
 from reference_wdvv import _instance_expr as reference_instance_expr
 from reference_wdvv import use_reference_loop
 
@@ -23,18 +25,20 @@ from reference_wdvv import use_reference_loop
 def _engines(c_max, **options):
     new = Engine(c_max=c_max, **options)
     ref = use_reference_loop(Engine(c_max=c_max, **options))
-    new.tracing = ref.tracing = True
     return new, ref
 
 
+def _same_value(got, want):
+    """Equal numbers, or Unknowns with equal reasons."""
+    return _reason(got) == _reason(want) and (isinstance(got, Unknown) or got == want)
+
+
 def _assert_same_engine_state(new, ref):
-    assert new.stats == ref.stats
-    assert [r.describe() for r in new.trace_log] == [r.describe() for r in ref.trace_log]
-    assert new.origin == ref.origin
-    for key, value in new.memo.items():
-        assert ref.memo[key] == value, key
-    for beta, ins in ref.memo.keys() - new.memo.keys():
-        assert 0 in ins or not dimension_check(beta, ins), (beta, ins)
+    assert new.stats["wdvv_instances"] <= ref.stats["wdvv_instances"]
+    for key in new.memo.keys() & ref.memo.keys():
+        assert _same_value(new.memo[key], ref.memo[key]), key
+    for (beta, ins), want in ref.memo.items():
+        assert _same_value(new._invariant(beta, ins), want), (beta, ins)
 
 
 def _reason(value):
@@ -51,7 +55,19 @@ def _assert_same_reduction(new, ref, beta, ins):
     return got
 
 
-def _assert_same_instance(new, ref, corners, extra, beta):
+def _assert_same_residual(new, ref, corners, extra, beta):
+    got = new.wdvv_residual(*corners, extra, beta)
+    want = ref.wdvv_residual(*corners, extra, beta)
+    assert type(got) is type(want) and got == want
+
+
+def _assert_same_instance(new, ref, corners, extra, beta, warm=False):
+    if warm:
+        # on a warm engine, what an open expression keeps symbolic depends
+        # on which keys the engine already holds as numbers; the numeric
+        # residual first derives every boundary key, and solves the
+        # two-point classes it reaches, on both engines
+        _assert_same_residual(new, ref, corners, extra, beta)
     # the two-point keys at beta open, as in the two-point solver
     def open_rule(key):
         return key[0] == beta and len(key[1]) <= 2
@@ -61,9 +77,7 @@ def _assert_same_instance(new, ref, corners, extra, beta):
     got = new.wdvv_instance(*corners, extra, beta)
     want = ref.wdvv_instance(*corners, extra, beta)
     assert _as_tuple(got) == _as_tuple(want)
-    got = new.wdvv_residual(*corners, extra, beta)
-    want = ref.wdvv_residual(*corners, extra, beta)
-    assert type(got) is type(want) and got == want
+    _assert_same_residual(new, ref, corners, extra, beta)
 
 
 REDUCTIONS = [
@@ -76,6 +90,9 @@ REDUCTIONS = [
     (1, (1, 2, 1), (4, 4, 4, 4, 4, 12), "requires <T4^5>_(0,2,0) seed"),
     # an interior factor sits beyond c_max
     (1, (1, 1, 2), (4, 4, 5, 10), "exceeds c_max=1"),
+    # single-T4 peel whose sums meet rows with only some entries zero by
+    # the axioms: such a row is live
+    (2, (1, 1, 2), (4, 10, 12), None),
 ]
 
 INSTANCES = [
@@ -125,7 +142,7 @@ def test_warm_engine_matches_reference(c_max):
             _assert_same_reduction(new, ref, beta, ins)
     for case_c_max, corners, extra, beta in INSTANCES:
         if case_c_max == c_max:
-            _assert_same_instance(new, ref, corners, extra, beta)
+            _assert_same_instance(new, ref, corners, extra, beta, warm=True)
     _assert_same_engine_state(new, ref)
 
 
