@@ -40,35 +40,34 @@ every Unknown keeps a reason of its own.
 A private third table holds interior rows for the associativity sums: the
 values of <x y t P>_b for every t of one codimension group, keyed by
 (b, x, y, P, codim) with x, y, P in the raw order the sum looks them up.
-A row only filters memo values (it drops zeros) and is stored once every
-entry of its group has been looked up, or, for a dead row (below), with
-none looked up.  Memo entries under raw keys with
-three or more insertions are written once, so a stored row stays equal to
-what its lookups would return; a normalized two-point entry can still go
-from Unknown to a value, which is why rows are keyed in raw order, never
-sorted.  Distinct rows cover
-disjoint sets of raw interior keys, so there are no more rows than such
-keys.  A sum whose rows are all stored and free of Unknowns contracts
-them in integers instead of looking the entries up again.  The in-order
-loop that runs otherwise weights its terms with the same integers, D times
-the inverse pairing, so each instance divides its interior sum by D once.
+A row is always whole: the first sum that needs it looks every entry up
+in t order and stores the nonzero and Unknown ones.  Memo entries under
+raw keys with three or more insertions are written once, so a stored row
+stays equal to what its lookups would return; a normalized two-point
+entry can still go from Unknown to a value, which is why rows are keyed
+in raw order, never sorted.  Each side of a sum (one split and
+partition, one corner pairing) contracts its e-row and f-row in
+integers, D times the inverse pairing, and each instance divides its
+interior sum by D once.
 
 A row is dead when every entry is an exact zero: it is stored as the
 empty row, or the fundamental-class, dimension or divisor axiom zeroes
 <x y t P>_b for every t of its group (a codimension-0 group is T0 alone;
-often the first divisor stripped has degree 0 on b).  A side of a sum
-(one split and partition, one corner pairing) with a dead e-row or f-row
-contributes exactly 0, even against an Unknown factor, which an exact
-zero absorbs.  So the contraction takes it as 0 and the in-order loop
-leaves it out, looking up none of its entries.  The verdict is reached
-once per row, only for a row the table lacks: a dead row is stored as the
-empty row without any lookup, a live verdict is kept in a set.  Values,
-every Unknown reason and ``wdvv_residual`` are the same as when every
-side is evaluated.  What changes is the work: the memo holds fewer raw
-keys, fewer associativity instances are built (``stats``, ``trace_log``),
-the mirror that is derived first can change (so can ``origin`` notes on
-mirrored keys and ``solver_instances``), and on a warm engine
-``wdvv_instance`` can keep other two-point keys open.
+often the first divisor stripped has degree 0 on b).  The verdict is
+reached once per row the table lacks; a dead row is stored as the empty
+row without any lookup.  A side with a dead row, or whose e-row holds
+only zeros, is exactly 0, even against an Unknown factor, and its f-row
+is not looked up.  A term that multiplies an Unknown by a nonzero value
+or by another Unknown makes the instance Unknown: each side reports its
+first such term in (e, f) order, and the earliest (e, f, side) of the
+split and partition wins, the (ij|kl) side first.  That is the Unknown a
+loop over every (e, f) would meet first, so values, every Unknown reason
+and ``wdvv_residual`` are the same as when every side is evaluated.  What
+changes is the work: the memo holds other raw keys, fewer associativity
+instances are built (``stats``, ``trace_log``), the mirror that is derived
+first can change (so can ``origin`` notes on mirrored keys and
+``solver_instances``), and on a warm engine ``wdvv_instance`` can keep
+other two-point keys open.
 
 The four boundary terms of an associativity instance are compiled once
 per (corners, extra) shape by the cached ``_boundary_terms``: the cup
@@ -306,23 +305,18 @@ def _normal_plan(ins: Insertions) -> Optional[Tuple[int, Insertions, Insertions]
             tuple(sorted(work)))
 
 
-@lru_cache(maxsize=1)
-def _dual_groups_by_codim() -> Tuple[Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...], ...]:
-    """The groups of ``scaled_dual_groups()`` (weights D * g^{ef}) split by
-    the codimension of e (0..4), each part in index order."""
-    parts: List[list] = [[] for _ in range(5)]
-    for e, fws in scaled_dual_groups()[1]:
-        parts[CODIM[e]].append((e, fws))
-    return tuple(tuple(part) for part in parts)
+# The basis indices of each codimension 0..4 in index order: the t of an
+# interior row's group.
+_CODIM_GROUPS = tuple(tuple(t for t in range(chow.BASIS_SIZE) if CODIM[t] == c) for c in range(5))
 
 
-# An interior row: the values of <x y t P>_b over one codimension group of
-# t, as (entries, image).  entries lists (t, value) for the nonzero and
-# Unknown values; image maps e to the sum over f of D * g^{ef} * value_f
-# (nonzero ones only), or is None when an entry is Unknown, which makes the
-# row unusable for contraction.  Every empty row is the one constant
-# _EMPTY_ROW (never mutated), and so is every row the axioms make zero,
-# stored without a lookup (``Engine._judge_row``).
+# An interior row: the values of <x y t P>_b over one whole codimension
+# group of t, as (entries, image).  entries lists (t, value) for the
+# nonzero and Unknown values in t order; image maps e to the sum over f of
+# D * g^{ef} * value_f (nonzero ones only), or is None when an entry is
+# Unknown.  Every empty row is the one constant _EMPTY_ROW (never
+# mutated), and so is every row the axioms make zero, stored without a
+# lookup (``Engine._judge_row``).
 _Row = Tuple[Tuple[Tuple[int, Value], ...], Optional[Dict[int, Union[int, Fraction]]]]
 _EMPTY_ROW: _Row = ((), {})
 
@@ -342,33 +336,33 @@ def _make_row(values: Iterable[Tuple[int, Value]]) -> _Row:
     return entries, {e: s for e, s in image.items() if s}
 
 
-def _record_row(rows: Dict[tuple, _Row], key: tuple, values: Iterable[Tuple[int, Value]]) -> None:
-    if key not in rows:
-        rows[key] = _make_row(values)
-
-
-def _contract(rows: Dict[tuple, _Row], judge: Callable[[tuple], Optional[_Row]], e_key: tuple,
-              b: Beta, x: int, y: int, part: Insertions, codim: int):
-    """D times sum over (e, f) of e_row[e] g^{ef} f_row[f], from stored
-    rows, the f-row keyed by (b, x, y, part, codim): 0 when either row is
-    dead, else None unless both are stored and free of Unknowns.  A row
-    the table lacks is handed to ``judge`` (``Engine._judge_row``), which
-    returns _EMPTY_ROW for a dead one and None for a live one."""
-    e_row = rows.get(e_key) or judge(e_key)
-    if e_row is _EMPTY_ROW:
-        return 0
-    f_key = (b, x, y, part, codim)
-    f_row = rows.get(f_key) or judge(f_key)
-    if f_row is _EMPTY_ROW:
-        return 0
-    if e_row is None or f_row is None or e_row[1] is None or f_row[1] is None:
-        return None
-    image = f_row[1]
+def _contract(e_row: _Row, f_row: _Row):
+    """D times the sum over (e, f) of e_row[e] g^{ef} f_row[f]; or, when
+    a term multiplies an Unknown by a nonzero value or by another Unknown,
+    (e, f, that Unknown) for the first such term in (e, f) order, the
+    e-row's Unknown first as ``val_mul`` picks it.  A term with an exact
+    zero factor is 0, even against an Unknown."""
+    e_entries, e_image = e_row
+    f_entries, image = f_row
     total = 0
-    for e, v in e_row[0]:
-        s = image.get(e)
-        if s:
-            total += v * s
+    if e_image is not None and image is not None:
+        for e, v in e_entries:
+            s = image.get(e)
+            if s:
+                total += v * s
+        return total
+    f_values = dict(f_entries)
+    groups = scaled_dual_groups()[1]
+    for e, v in e_entries:
+        for f, w in groups[e][1]:
+            p = f_values.get(f)
+            if p is None:
+                continue
+            if isinstance(v, Unknown):
+                return e, f, v
+            if isinstance(p, Unknown):
+                return e, f, p
+            total += v * w * p
     return total
 
 
@@ -392,13 +386,16 @@ def check_insertions(insertions: Sequence, vectors: bool) -> bool:
 
 def _checked_class(beta: Sequence[int]) -> Beta:
     """The class of a public query as a tuple, after checking it is three
-    non-negative ints, not all zero.  Raises UsageError."""
-    beta = tuple(beta)
-    if len(beta) == 3:
+    non-negative ints, not all zero.  Raises UsageError, also for a class
+    that is not a sequence."""
+    try:
         a, b, c = beta
+    except (TypeError, ValueError):
+        pass
+    else:
         if (type(a) is int and type(b) is int and type(c) is int
                 and a >= 0 and b >= 0 and c >= 0 and (a or b or c)):
-            return beta
+            return a, b, c
     raise UsageError("invariants want a nonzero effective class, got %r" % (beta,))
 
 
@@ -613,7 +610,7 @@ def _rule_fiber_one_point(table, beta, ins):
         return None
     i = ins[0]
     if i in (8, 9):
-        return (_exact(Fraction(4, c * c)), _CIT_FIBER)
+        return (_quotient(4, c * c), _CIT_FIBER)
     if i in (4, 5, 6, 7):
         return (0, _CIT_FIBER)
     return None
@@ -919,17 +916,33 @@ class Engine:
         if key in self._live_rows:
             return None
         b, x, y, part, codim = key
-        for t, _ in _dual_groups_by_codim()[codim]:
+        for t in _CODIM_GROUPS[codim]:
             if self._normalize(b, (x, y, t) + part)[1] is not None:
                 self._live_rows.add(key)
                 return None
         self._rows[key] = _EMPTY_ROW
         return _EMPTY_ROW
 
-    def _dead_row(self, key: tuple) -> bool:
-        """Whether every entry of the interior row is an exact zero: it is
-        stored as _EMPTY_ROW, or the axioms zero it (``_judge_row``)."""
-        return (self._rows.get(key) or self._judge_row(key)) is _EMPTY_ROW
+    def _row(self, key: tuple) -> _Row:
+        """The whole interior row (b, x, y, P, codim): every <x y t P>_b of
+        the group, looked up in t order the first time and stored."""
+        row = self._rows.get(key)
+        if row is None:
+            b, x, y, part, codim = key
+            row = self._rows[key] = _make_row(
+                (t, self._invariant(b, (x, y, t) + part)) for t in _CODIM_GROUPS[codim])
+        return row
+
+    def _side(self, e_key: tuple, f_key: tuple):
+        """One side of an interior sum as ``_contract`` gives it: 0 when
+        the e-row or the f-row is dead, judged before any lookup, or when
+        the e-row holds only zeros, whose f-row is then not looked up."""
+        rows = self._rows
+        e_row = rows.get(e_key) or self._judge_row(e_key)
+        if e_row is _EMPTY_ROW or (rows.get(f_key) or self._judge_row(f_key)) is _EMPTY_ROW:
+            return 0
+        e_row = e_row or self._row(e_key)
+        return 0 if e_row is _EMPTY_ROW else _contract(e_row, self._row(f_key))
 
     # -- the recursive reducer ------------------------------------------------
 
@@ -1008,11 +1021,7 @@ class Engine:
             if key is not None:
                 rel.add_scaled(reduce_key(key, ctx), coeff * factor)
         partitions = _multiset_splits(extra)
-        groups = _dual_groups_by_codim()
-        interior = self._invariant
-        rows = self._rows
-        judge = self._judge_row
-        dead = self._dead_row
+        side = self._side
         scaled_acc = 0  # D times the interior sum
         for b1, b2 in splittings(beta):
             for a_part, b_part, weight, excess in partitions:
@@ -1024,83 +1033,17 @@ class Engine:
                 base = 2 * b1[0] + 2 * b1[1] + 4 - excess - CODIM[i]
                 ce_lhs = base - CODIM[j]
                 ce_rhs = base - CODIM[k]
-                # When every row this visit reads is stored and free of
-                # Unknowns, its lookups would all be memo hits: contract
-                # the rows instead.  A side with a dead row is 0.
-                lhs = (_contract(rows, judge, (b1, i, j, a_part, ce_lhs), b2, k, l, b_part,
-                                 4 - ce_lhs) if 0 <= ce_lhs <= 4 else 0)
-                if lhs is not None:
-                    rhs = (_contract(rows, judge, (b1, i, k, a_part, ce_rhs), b2, j, l, b_part,
-                                     4 - ce_rhs) if 0 <= ce_rhs <= 4 else 0)
-                    if rhs is not None:
-                        scaled_acc += weight * (lhs - rhs)
-                        continue
-                # Otherwise evaluate in the order of the sum over all
-                # (e, f), with the same D-scaled weights, leaving out a
-                # side with a dead row: its terms are exact zeros, which
-                # absorb even an Unknown factor.  The f-side
-                # factors are kept in rows for this split and partition,
-                # each evaluated at its first use; each row is stored once
-                # its whole group is evaluated.
-                if 0 <= ce_lhs <= 4 and (dead((b1, i, j, a_part, ce_lhs))
-                                         or dead((b2, k, l, b_part, 4 - ce_lhs))):
-                    ce_lhs = -1
-                if 0 <= ce_rhs <= 4 and (dead((b1, i, k, a_part, ce_rhs))
-                                         or dead((b2, j, l, b_part, 4 - ce_rhs))):
-                    ce_rhs = -1
-                row_lhs: Dict[int, Value] = {}
-                row_rhs: Dict[int, Value] = {}
-                for ce in sorted({ce_lhs, ce_rhs}):
-                    if not 0 <= ce <= 4:
-                        continue
-                    e_lhs: List[Tuple[int, Value]] = []
-                    e_rhs: List[Tuple[int, Value]] = []
-                    for e, fws in groups[ce]:
-                        lhs1 = interior(b1, (i, j, e) + a_part) if ce == ce_lhs else 0
-                        rhs1 = interior(b1, (i, k, e) + a_part) if ce == ce_rhs else 0
-                        lhs1_live = isinstance(lhs1, Unknown) or bool(lhs1)
-                        rhs1_live = isinstance(rhs1, Unknown) or bool(rhs1)
-                        if not (lhs1_live or rhs1_live):
-                            continue
-                        if lhs1_live:
-                            e_lhs.append((e, lhs1))
-                        if rhs1_live:
-                            e_rhs.append((e, rhs1))
-                        sum_lhs = sum_rhs = 0
-                        for f, w in fws:
-                            if lhs1_live:
-                                p = row_lhs.get(f)
-                                if p is None:
-                                    p = row_lhs[f] = interior(b2, (k, l, f) + b_part)
-                                if isinstance(lhs1, Unknown) or isinstance(p, Unknown):
-                                    term = val_mul(lhs1, p)
-                                    if isinstance(term, Unknown):
-                                        return LinExpr(poison=term)
-                                elif p:
-                                    sum_lhs += w * p
-                            if rhs1_live:
-                                q = row_rhs.get(f)
-                                if q is None:
-                                    q = row_rhs[f] = interior(b2, (j, l, f) + b_part)
-                                if isinstance(rhs1, Unknown) or isinstance(q, Unknown):
-                                    term = val_mul(rhs1, q)
-                                    if isinstance(term, Unknown):
-                                        return LinExpr(poison=term)
-                                elif q:
-                                    sum_rhs += w * q
-                        if sum_lhs:
-                            scaled_acc += weight * lhs1 * sum_lhs
-                        if sum_rhs:
-                            scaled_acc -= weight * rhs1 * sum_rhs
-                    f_size = len(groups[4 - ce])
-                    if ce == ce_lhs:
-                        _record_row(rows, (b1, i, j, a_part, ce), e_lhs)
-                        if len(row_lhs) == f_size:
-                            _record_row(rows, (b2, k, l, b_part, 4 - ce), row_lhs.items())
-                    if ce == ce_rhs:
-                        _record_row(rows, (b1, i, k, a_part, ce), e_rhs)
-                        if len(row_rhs) == f_size:
-                            _record_row(rows, (b2, j, l, b_part, 4 - ce), row_rhs.items())
+                lhs = (side((b1, i, j, a_part, ce_lhs), (b2, k, l, b_part, 4 - ce_lhs))
+                       if 0 <= ce_lhs <= 4 else 0)
+                rhs = (side((b1, i, k, a_part, ce_rhs), (b2, j, l, b_part, 4 - ce_rhs))
+                       if 0 <= ce_rhs <= 4 else 0)
+                if type(lhs) is tuple or type(rhs) is tuple:
+                    # an Unknown term: the earliest (e, f, side), the
+                    # (ij|kl) side first at equal (e, f)
+                    if type(lhs) is not tuple or (type(rhs) is tuple and rhs[:2] < lhs[:2]):
+                        lhs = rhs
+                    return LinExpr(poison=lhs[2])
+                scaled_acc += weight * (lhs - rhs)
         if scaled_acc:
             rel.const += _quotient(scaled_acc, scaled_dual_groups()[0])
         return rel

@@ -129,9 +129,10 @@ def test_invariant_examples(engine):
 
 def test_invariant_rejects_bad_beta(engine):
     # not three non-negative ints, not all zero: (1.7, 0, 1) and ('1', 0, 1)
-    # must not be read as (1, 0, 1)
+    # must not be read as (1, 0, 1), and 5 and None are not sequences
     for method in (engine.invariant, engine.provenance_of):
-        for beta in [(0, 0, 0), (-1, 0, 1), (1.7, 0, 1), ("1", 0, 1), (True, 0, 1), (1, 0)]:
+        for beta in [(0, 0, 0), (-1, 0, 1), (1.7, 0, 1), ("1", 0, 1), (True, 0, 1), (1, 0),
+                     5, None]:
             with pytest.raises(UsageError):
                 method(beta, [13])
 
@@ -154,6 +155,7 @@ def test_invariant_rejects_bad_insertions(engine, insertions):
     ((3, 13, 1, 10), (14,), (1, 1, 1)),
     ((1, 1, 2, 11), 5, (0, 1, 1)),  # extra is not a sequence
     ((1, 1, 2, 11), None, (0, 1, 1)),
+    ((1, 1, 2, 11), (), 5),  # beta is not a sequence
 ])
 def test_wdvv_surface_rejects_bad_indices(engine, corners, extra, beta):
     # checked like invariant's arguments, before any instance is built
@@ -570,10 +572,13 @@ def test_provenance_strings(engine):
 
 @pytest.mark.parametrize("beta, ins, value, wdvv, solver, hits", [
     ((1, 1, 2), [4, 4, 13], 2, 124, 111, 20),
-    ((1, 1, 1), [4, 4, 4, 12], 0, 85, 84, 18),
+    ((1, 1, 1), [4, 4, 4, 12], 0, 84, 84, 19),
 ], ids=["T4T4T13", "T4T4T4T12"])
 def test_work_counters_pinned(beta, ins, value, wdvv, solver, hits):
-    # the work one cold query costs; re-deriving a memoized key raises it
+    # the work one cold query costs; re-deriving a memoized key raises it.
+    # Interior rows are looked up whole, so a key can meet its mirror
+    # already derived (T4T4T4T12 built 85 instances and reused 18 mirrors
+    # while rows were read in part)
     eng = Engine(c_max=2)
     assert eng.invariant(beta, ins) == value
     assert eng.stats == {"wdvv_instances": wdvv, "solver_instances": solver,
@@ -581,11 +586,11 @@ def test_work_counters_pinned(beta, ins, value, wdvv, solver, hits):
 
 
 def test_interior_lookups_pinned(monkeypatch):
-    # the interior lookups one cold query makes: a sum whose rows are all
-    # stored contracts them instead of looking each entry up again, and a
-    # side whose row the axioms make zero is not looked up at all (the
-    # loop without rows made 8,434 lookups here, with rows but no dead
-    # sides 2,602)
+    # the interior lookups one cold query makes: each row is looked up
+    # whole once and contracted from then on, and a side whose row the
+    # axioms make zero is not looked up at all (the loop without rows made
+    # 8,434 lookups here, with rows but no dead sides 2,602, and 215 while
+    # a row read in part was looked up again at every visit)
     calls = [0]
     lookup = Engine._invariant
 
@@ -596,7 +601,7 @@ def test_interior_lookups_pinned(monkeypatch):
     monkeypatch.setattr(Engine, "_invariant", counting)
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
-    assert calls[0] == 215
+    assert calls[0] == 151
     assert eng.stats == {"wdvv_instances": 124, "solver_instances": 111, "involution_hits": 20}
 
 
@@ -618,7 +623,7 @@ def test_normal_plan_cached_per_raw_tuple():
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
     info = _normal_plan.cache_info()
-    assert (info.misses, info.hits) == (314, 1201)
+    assert (info.misses, info.hits) == (310, 1193)  # (314, 1201) with rows read in part
 
 
 def test_add_scaled_accumulates_in_place():
@@ -632,8 +637,7 @@ def test_add_scaled_accumulates_in_place():
 
 def test_row_contraction_is_exact():
     # contracting two rows in integers, divided by the common denominator,
-    # equals the Fraction sum over the inverse pairing; the f-row is named
-    # by its key's parts (class, x, y, partition, codimension)
+    # equals the Fraction sum over the inverse pairing
     denom, _ = scaled_dual_groups()
     assert denom == 2
     rng = random.Random(7)
@@ -642,27 +646,29 @@ def test_row_contraction_is_exact():
                   for e, _ in dual_groups() if CODIM[e] == ce}
         f_vals = {f: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 5)))
                   for f, _ in dual_groups() if CODIM[f] == 4 - ce}
-        e_key, f_key = ((1, 0, 0), 4, 5, (), ce), ((0, 1, 0), 6, 7, (4,), 4 - ce)
-        rows = {e_key: _make_row(e_vals.items()), f_key: _make_row(f_vals.items())}
+        e_row, f_row = _make_row(e_vals.items()), _make_row(f_vals.items())
         want = sum((e_vals[e] * w * f_vals[f] for e, fws in dual_groups()
                     if CODIM[e] == ce for f, w in fws), Fraction(0))
-        assert Fraction(_contract(rows, _live, e_key, *f_key), denom) == want
-        for _, v in rows[e_key][0] + rows[f_key][0]:
+        assert Fraction(_contract(e_row, f_row), denom) == want
+        for _, v in e_row[0] + f_row[0]:
             assert v and (type(v) is int or v.denominator > 1)
     assert _make_row([(4, Fraction(0)), (5, Fraction(0))]) is _EMPTY_ROW
-    # a row holding an Unknown is not contracted
-    e_key, f_key, empty, missing = (((1, 0, 0), 1, 1, (), c) for c in range(4))
-    rows = {e_key: _make_row([(4, Unknown("x"))]), f_key: _make_row([(9, Fraction(1))]),
-            empty: _make_row([])}
-    assert _contract(rows, _live, e_key, *f_key) is None
-    assert _contract(rows, _live, f_key, *e_key) is None
-    assert _contract(rows, _live, empty, *missing) == 0
-    assert _contract(rows, _live, missing, *f_key) is None
+    assert _contract(_EMPTY_ROW, _make_row([(4, Unknown("x"))])) == 0
 
 
-def _live(key):
-    # the verdict on every row the table lacks: live, not stored
-    return None
+def test_row_contraction_reports_the_first_unknown_term():
+    # an Unknown facing a nonzero value (or another Unknown) is reported
+    # at its (e, f), the first in (e, f) order, the e-row's Unknown first,
+    # not contracted; an Unknown facing only zeros is absorbed.  The
+    # scaled weights D * g^{ef} used: e = 4: f = 4, 5; e = 5: f = 4, 6, 7,
+    # 8, 9; e = 6: f = 5 (-1), 9 (1)
+    x, y = Unknown("x"), Unknown("y")
+    e_row = _make_row([(4, x), (6, 3)])
+    assert _contract(e_row, _make_row([(5, 1), (9, 2)])) == (4, 5, x)
+    assert _contract(e_row, _make_row([(9, 2)])) == 6  # x meets only zeros
+    assert _contract(_make_row([(6, 3)]), _make_row([(5, y), (9, 2)])) == (6, 5, y)
+    assert _contract(_make_row([(5, x)]), _make_row([(4, y)])) == (5, 4, x)
+    assert _contract(_make_row([(5, 1)]), _make_row([(6, y), (8, x)])) == (5, 6, y)
 
 
 # -- dead interior rows ---------------------------------------------------------
@@ -674,32 +680,36 @@ def test_axioms_make_a_row_dead():
     # the first stripped divisor T3 has degree c = 0 on (1, 0, 0)
     corner = ((1, 0, 0), 3, 4, (), 3)
     for key in (t0, corner):
-        assert eng._dead_row(key)
+        assert eng._judge_row(key) is _EMPTY_ROW
         assert eng._rows[key] is _EMPTY_ROW and key not in eng._live_rows
     # T3 has degree 1 on (1, 0, 1); on (1, 0, 0) of T1, T2, T3 only T2 has
     # a nonzero degree, so <T4 T10 t> passes the axioms for t = T2 alone
-    for key in (((1, 0, 1), 3, 4, (), 3), ((1, 0, 0), 4, 10, (), 1)):
-        assert not eng._dead_row(key)
+    live = ((1, 0, 1), 3, 4, (), 3), ((1, 0, 0), 4, 10, (), 1)
+    for key in live:
+        assert eng._judge_row(key) is None
         assert key not in eng._rows and key in eng._live_rows
     assert [eng._normalize((1, 0, 0), (4, 10, t))[1] is None
             for t in (1, 2, 3)] == [True, False, True]
+    # a side with a dead row is 0; the verdicts looked nothing up
+    assert eng._side(t0, live[0]) == eng._side(live[1], corner) == 0
+    assert eng.memo == {} and live[0] not in eng._rows
 
 
 def test_stored_rows_are_dead_only_when_empty():
     eng = Engine(c_max=2)
-    key = ((1, 0, 1), 3, 4, (), 3)  # live by the axioms
-    eng._rows[key] = _EMPTY_ROW
-    assert eng._dead_row(key)
-    # a stored row with entries is live, even where its image is empty
-    # or it is all Unknown
-    for row in ((((10, 1),), {}), (((10, Unknown("x")),), None)):
-        eng._rows[key] = row
-        assert not eng._dead_row(key)
-    # so an Unknown e-row facing it is not contracted to 0
-    e_key = ((0, 1, 0), 1, 2, (), 1)
+    # an Unknown e-row at e = T1 (codimension 1) against the f-row keyed
+    # ``key`` (codimension 3), which the axioms find live
+    e_key, key = ((0, 1, 0), 1, 2, (), 1), ((1, 0, 1), 3, 4, (), 3)
     eng._rows[e_key] = _make_row([(1, Unknown("y"))])
-    eng._rows[key] = (((10, 1),), {})
-    assert _contract(eng._rows, eng._judge_row, e_key, *key) is None
+    eng._rows[key] = _EMPTY_ROW
+    assert eng._side(e_key, key) == 0
+    # a stored row with entries is live, even where its image is empty
+    # or it is all Unknown, so the Unknown e-row facing it (g^{1,11} is
+    # not 0) is not contracted to 0
+    for row in ((((11, 1),), {}), (((11, Unknown("x")),), None)):
+        eng._rows[key] = row
+        assert eng._side(e_key, key) == (1, 11, Unknown("y"))
+    assert eng.memo == {}
 
 
 def test_dead_side_absorbs_an_unknown_row():
@@ -714,8 +724,32 @@ def test_dead_side_absorbs_an_unknown_row():
     assert eng._rows[e_key][1] is None
     assert any(isinstance(v, Unknown) for _, v in eng._rows[e_key][0])
     assert eng._rows[f_key] is _EMPTY_ROW
-    assert _contract(eng._rows, eng._judge_row, e_key, *f_key) == 0
+    assert eng._side(e_key, f_key) == 0
 
+
+@pytest.mark.parametrize("c_max, beta, ins, unknown_rows", [
+    (1, (1, 2, 1), [4, 4, 4, 4, 13], 4),
+    (2, (1, 1, 2), [4, 4, 13], 0),
+])
+def test_stored_rows_are_whole(c_max, beta, ins, unknown_rows):
+    # every row a cold query stores holds the nonzero and Unknown values of
+    # its whole codimension group, as looking each entry up returns them,
+    # and an Unknown-free row's image is their contraction with D * g^{ef}
+    eng = Engine(c_max=c_max)
+    eng.invariant(beta, ins)
+    rows = dict(eng._rows)
+    assert sum(1 for row in rows.values() if row[1] is None) == unknown_rows
+    denom, _ = scaled_dual_groups()
+    for (b, x, y, part, codim), (entries, image) in rows.items():
+        values = [(t, eng._invariant(b, (x, y, t) + part))
+                  for t in range(len(CODIM)) if CODIM[t] == codim]
+        assert entries == tuple((t, v) for t, v in values if isinstance(v, Unknown) or v)
+        if any(isinstance(v, Unknown) for _, v in values):
+            assert image is None
+            continue
+        got = dict(values)
+        want = {e: denom * sum(w * got.get(f, 0) for f, w in fws) for e, fws in dual_groups()}
+        assert image == {e: s for e, s in want.items() if s}
 
 # -- number types ----------------------------------------------------------------
 
@@ -745,14 +779,16 @@ def test_public_values_stay_fractions(engine):
 
 
 def test_fraction_constructions_pinned(fraction_count):
-    # integral values travel as ints, the Gauss solver's rows included, so
-    # a cold query builds Fractions only for non-integral values and the
-    # public result (18,065 when every value was a Fraction, 1,664 while
-    # the solver's rows were Fractions)
+    # integral values travel as ints, the Gauss solver's rows and the
+    # fibre-class seeds 4/c^2 included, so a cold query builds Fractions
+    # only for non-integral values and the public result (18,065 when every
+    # value was a Fraction, 1,664 while the solver's rows were Fractions,
+    # 82 while the seeds 4/1 and 4/4 were, and 83 once rows were looked up
+    # whole, which reads one more of those seeds)
     Engine(c_max=2).invariant((1, 1, 2), [4, 4, 13])  # fill the module caches
     value, calls = fraction_count(lambda: Engine(c_max=2).invariant((1, 1, 2), [4, 4, 13]))
     assert value == 2
-    assert calls == 82
+    assert calls == 65
 
 
 @pytest.mark.parametrize("ins", [(4, 4, 12), (12, 4, 4)])

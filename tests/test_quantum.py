@@ -199,7 +199,9 @@ def test_basis_products_match_frozen_golden(engine):
 def test_basis_product_fraction_constructions_pinned(fraction_count):
     # the product sums its invariants in integers (weights D g^{ef}) and
     # builds each quantum coefficient once (1,004 of the count); QSeries
-    # keeps those Fractions as they are
+    # keeps those Fractions as they are, and the integral fibre-class seeds
+    # are ints (1,087 while they were Fractions, 1,088 once interior rows
+    # were looked up whole)
     def all_products():
         ring = SmallQuantum(Engine(c_max=2))
         for i in range(chow.BASIS_SIZE):
@@ -208,7 +210,7 @@ def test_basis_product_fraction_constructions_pinned(fraction_count):
 
     all_products()  # fill the module caches
     _, calls = fraction_count(all_products)
-    assert calls == 1087  # 11,465 when basis_product summed Fractions
+    assert calls == 1068  # 11,465 when basis_product summed Fractions
 
 
 # -- relations ---------------------------------------------------------------------

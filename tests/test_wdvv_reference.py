@@ -112,6 +112,10 @@ INSTANCES = [
     # the four boundary terms cancel pairwise, but the cancelling keys
     # still poison the residual (beyond c_max); the expression opens them
     (1, (1, 3, 3, 10), (), (1, 0, 2)),
+    # both sides of one split and partition carry an Unknown term beyond
+    # c_max, the (ik|jl) side's at (e, f) = (5, 6) before the (ij|kl)
+    # side's at (9, 6): the residual names the (ik|jl) side's
+    (1, (2, 5, 4, 6), (8, 10), (2, 1, 2)),
 ]
 
 
