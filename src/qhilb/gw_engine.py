@@ -53,9 +53,15 @@ interior sum by D once.
 A row is dead when every entry is an exact zero: it is stored as the
 empty row, or the fundamental-class, dimension or divisor axiom zeroes
 <x y t P>_b for every t of its group (a codimension-0 group is T0 alone;
-often the first divisor stripped has degree 0 on b).  The verdict is
-reached once per row the table lacks; a dead row is stored as the empty
-row without any lookup.  A side with a dead row, or whose e-row holds
+often the first divisor stripped has degree 0 on b).  The axioms read b
+only through a+b and its nonzero pattern (which of a, b, c are not 0), so
+the axioms' verdict is judged per shape, not per row: ``_row_mask`` gives
+it for every pattern at once, cached per (x, y, P, codim, a+b), and
+``_interior_plan``, cached per (corners, extra, a+b), keeps for each
+a1+b1 only the partitions with a side that can be live, with each side's
+codimension and row masks.  A side whose masks fail at the patterns of
+its splitting (``_split_plan``) builds no row key, and rows the axioms
+make dead are never stored.  A side with a dead row, or whose e-row holds
 only zeros, is exactly 0, even against an Unknown factor, and its f-row
 is not looked up.  A term that multiplies an Unknown by a nonzero value
 or by another Unknown makes the instance Unknown: each side reports its
@@ -309,14 +315,93 @@ def _normal_plan(ins: Insertions) -> Optional[Tuple[int, Insertions, Insertions]
 # interior row's group.
 _CODIM_GROUPS = tuple(tuple(t for t in range(chow.BASIS_SIZE) if CODIM[t] == c) for c in range(5))
 
+# A class's nonzero pattern: bit n is set when its n-th component (a, b or
+# c) is not 0.  The axioms read a class only through a+b and this pattern,
+# since each divisor's degree is one component (``chow.divisor_degree``).
+# _DIVISOR_BIT maps a divisor to the bit of the component its degree reads,
+# and _SUPERSETS[need] is the mask of the patterns holding every bit of need.
+_DIVISOR_BIT = {d: sum(1 << n for n, unit in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+                       if divisor_degree(d, unit))
+                for d in (1, 2, 3)}
+_SUPERSETS = tuple(sum(1 << p for p in range(8) if p & need == need) for need in range(8))
+
+
+def _pattern(beta: Beta) -> int:
+    return sum(1 << n for n, x in enumerate(beta) if x)
+
+
+@lru_cache(maxsize=None)
+def _split_plan(beta: Beta) -> Tuple[Tuple[Beta, Beta, int, int, int], ...]:
+    """``splittings(beta)`` as (b1, b2, a1+b1, pattern of b1, pattern of
+    b2), in the same order.  Cached like ``splittings``."""
+    return tuple((b1, b2, b1[0] + b1[1], _pattern(b1), _pattern(b2))
+                 for b1, b2 in splittings(beta))
+
+
+@lru_cache(maxsize=None)
+def _row_mask(x: int, y: int, part: Insertions, codim: int, double: int) -> int:
+    """The axioms' verdict on the interior rows (b, x, y, P, codim) with
+    2(a+b) = ``double``: bit p is set when, at a class of nonzero pattern
+    p, ``Engine._normalize`` leaves <x y t P>_b for some t of the group
+    (the row is live).  Cached like ``splittings``."""
+    mask = 0
+    for t in _CODIM_GROUPS[codim]:
+        plan = _normal_plan((x, y, t) + part)
+        if plan is not None and plan[0] == double:
+            need = 0
+            for d in plan[1]:
+                need |= _DIVISOR_BIT[d]
+            mask |= _SUPERSETS[need]
+    return mask
+
+
+def _side_plan(x: int, y: int, a_part: Insertions, z: int, w: int, b_part: Insertions,
+               ce: int, s1: int, s2: int) -> Optional[Tuple[int, int, int]]:
+    """One side of an interior sum, <x y e A>_{b1} against <z w f B>_{b2}
+    with a1+b1 = s1 and a2+b2 = s2: (ce, e-row mask, f-row mask), or None
+    when it is dead at every class.  A codimension-0 group is T0 alone, so
+    only ce in 1..3 can be live."""
+    if not 1 <= ce <= 3:
+        return None
+    e_mask = _row_mask(x, y, a_part, ce, 2 * s1)
+    f_mask = _row_mask(z, w, b_part, 4 - ce, 2 * s2)
+    return (ce, e_mask, f_mask) if e_mask and f_mask else None
+
+
+@lru_cache(maxsize=None)
+def _interior_plan(corners: Tuple[int, int, int, int], extra: Insertions, s: int):
+    """The interior sum of an associativity instance at the classes with
+    a+b = s: for each a1+b1 = 0..s, the partitions (A, B, weight, lhs,
+    rhs) of ``extra``, in ``_multiset_splits`` order, with a side that
+    the axioms leave live at some class; lhs is the (ij|kl) side, rhs the
+    (ik|jl) side, each as ``_side_plan`` gives it.  Cached like
+    ``splittings``; the class's nonzero patterns enter in the sum."""
+    i, j, k, l = corners
+    out = []
+    for s1 in range(s + 1):
+        live = []
+        for a_part, b_part, weight, excess in _multiset_splits(extra):
+            # By the dimension axiom <i j e A>_{b1} vanishes unless
+            # codim(e) = 2 a1 + 2 b1 + 4 - excess(A) - codim(i) - codim(j),
+            # so only one codimension group of e can contribute on each
+            # side (one for <i j e A>, one for <i k e A>).  The pairing
+            # is graded, so each f of that group has codim 4 - codim(e).
+            base = 2 * s1 + 4 - excess - CODIM[i]
+            lhs = _side_plan(i, j, a_part, k, l, b_part, base - CODIM[j], s1, s - s1)
+            rhs = _side_plan(i, k, a_part, j, l, b_part, base - CODIM[k], s1, s - s1)
+            if lhs or rhs:
+                live.append((a_part, b_part, weight, lhs, rhs))
+        out.append(tuple(live))
+    return tuple(out)
+
 
 # An interior row: the values of <x y t P>_b over one whole codimension
 # group of t, as (entries, image).  entries lists (t, value) for the
 # nonzero and Unknown values in t order; image maps e to the sum over f of
 # D * g^{ef} * value_f (nonzero ones only), or is None when an entry is
-# Unknown.  Every empty row is the one constant _EMPTY_ROW (never
-# mutated), and so is every row the axioms make zero, stored without a
-# lookup (``Engine._judge_row``).
+# Unknown.  Only rows of sides the axioms leave live (``_interior_plan``)
+# are stored; every such row that looks up only zeros is the one constant
+# _EMPTY_ROW (never mutated).
 _Row = Tuple[Tuple[Tuple[int, Value], ...], Optional[Dict[int, Union[int, Fraction]]]]
 _EMPTY_ROW: _Row = ((), {})
 
@@ -814,7 +899,6 @@ class Engine:
         self.memo: Dict[Key, Value] = {}
         self.origin: Dict[Key, str] = {}
         self._rows: Dict[tuple, _Row] = {}
-        self._live_rows: set = set()
         self._solved_betas = set()
         self._solving = set()
         self.stats = {"wdvv_instances": 0, "solver_instances": 0, "involution_hits": 0}
@@ -908,21 +992,6 @@ class Engine:
 
     # -- interior rows ----------------------------------------------------------
 
-    def _judge_row(self, key: tuple) -> Optional[_Row]:
-        """The verdict on an interior row (b, x, y, P, codim) the row table
-        lacks: dead when the axioms make <x y t P>_b zero for every t of the
-        group (``_normalize`` gives no key), stored as _EMPTY_ROW and
-        returned; else live, kept in ``_live_rows``, and None."""
-        if key in self._live_rows:
-            return None
-        b, x, y, part, codim = key
-        for t in _CODIM_GROUPS[codim]:
-            if self._normalize(b, (x, y, t) + part)[1] is not None:
-                self._live_rows.add(key)
-                return None
-        self._rows[key] = _EMPTY_ROW
-        return _EMPTY_ROW
-
     def _row(self, key: tuple) -> _Row:
         """The whole interior row (b, x, y, P, codim): every <x y t P>_b of
         the group, looked up in t order the first time and stored."""
@@ -934,12 +1003,13 @@ class Engine:
         return row
 
     def _side(self, e_key: tuple, f_key: tuple):
-        """One side of an interior sum as ``_contract`` gives it: 0 when
-        the e-row or the f-row is dead, judged before any lookup, or when
-        the e-row holds only zeros, whose f-row is then not looked up."""
+        """One side of an interior sum that the axioms leave live, as
+        ``_contract`` gives it: 0 when the e-row or the f-row is stored
+        empty, or when the e-row holds only zeros, whose f-row is then not
+        looked up."""
         rows = self._rows
-        e_row = rows.get(e_key) or self._judge_row(e_key)
-        if e_row is _EMPTY_ROW or (rows.get(f_key) or self._judge_row(f_key)) is _EMPTY_ROW:
+        e_row = rows.get(e_key)
+        if e_row is _EMPTY_ROW or rows.get(f_key) is _EMPTY_ROW:
             return 0
         e_row = e_row or self._row(e_key)
         return 0 if e_row is _EMPTY_ROW else _contract(e_row, self._row(f_key))
@@ -1020,23 +1090,22 @@ class Engine:
             factor, key = normalize(beta, ins)
             if key is not None:
                 rel.add_scaled(reduce_key(key, ctx), coeff * factor)
-        partitions = _multiset_splits(extra)
+        plans = _interior_plan(corners, extra, beta[0] + beta[1])
         side = self._side
         scaled_acc = 0  # D times the interior sum
-        for b1, b2 in splittings(beta):
-            for a_part, b_part, weight, excess in partitions:
-                # By the dimension axiom <i j e A>_{b1} vanishes unless
-                # codim(e) = 2 a1 + 2 b1 + 4 - excess(A) - codim(i) - codim(j),
-                # so only one codimension group of e can contribute on each
-                # side (one for <i j e A>, one for <i k e A>).  The pairing
-                # is graded, so each f of that group has codim 4 - codim(e).
-                base = 2 * b1[0] + 2 * b1[1] + 4 - excess - CODIM[i]
-                ce_lhs = base - CODIM[j]
-                ce_rhs = base - CODIM[k]
-                lhs = (side((b1, i, j, a_part, ce_lhs), (b2, k, l, b_part, 4 - ce_lhs))
-                       if 0 <= ce_lhs <= 4 else 0)
-                rhs = (side((b1, i, k, a_part, ce_rhs), (b2, j, l, b_part, 4 - ce_rhs))
-                       if 0 <= ce_rhs <= 4 else 0)
+        for b1, b2, s1, p1, p2 in _split_plan(beta):
+            for a_part, b_part, weight, lhs_plan, rhs_plan in plans[s1]:
+                # a side is judged by its rows' masks at the patterns of b1
+                # and b2; a dead one is 0 and builds no row key
+                lhs = rhs = 0
+                if lhs_plan is not None:
+                    ce, e_mask, f_mask = lhs_plan
+                    if e_mask >> p1 & f_mask >> p2 & 1:
+                        lhs = side((b1, i, j, a_part, ce), (b2, k, l, b_part, 4 - ce))
+                if rhs_plan is not None:
+                    ce, e_mask, f_mask = rhs_plan
+                    if e_mask >> p1 & f_mask >> p2 & 1:
+                        rhs = side((b1, i, k, a_part, ce), (b2, j, l, b_part, 4 - ce))
                 if type(lhs) is tuple or type(rhs) is tuple:
                     # an Unknown term: the earliest (e, f, side), the
                     # (ij|kl) side first at equal (e, f)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qhilb import gw_engine
 from qhilb.gw_engine import Engine
 
 
@@ -35,3 +36,13 @@ def fraction_count(monkeypatch):
             monkeypatch.undo()
         return result, calls[0]
     return run
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every module-level cache of ``qhilb.gw_engine`` (the plans and
+    the compiled shapes), so that a test counting cache misses and hits
+    reads the same numbers whichever tests ran before it."""
+    for obj in vars(gw_engine).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()

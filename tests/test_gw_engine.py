@@ -19,8 +19,12 @@ from qhilb.gw_engine import (
     _boundary_terms,
     _Context,
     _contract,
+    _interior_plan,
     _make_row,
     _normal_plan,
+    _pattern,
+    _row_mask,
+    _side_plan,
     dimension_check,
     dimension_classes,
     iota_beta,
@@ -605,25 +609,32 @@ def test_interior_lookups_pinned(monkeypatch):
     assert eng.stats == {"wdvv_instances": 124, "solver_instances": 111, "involution_hits": 20}
 
 
-def test_boundary_compiled_once_per_shape():
-    # each (corners, extra) shape is expanded once: every instance the
-    # query builds (WDVV reductions and solver rows) is one cache lookup
-    _boundary_terms.cache_clear()
+def test_boundary_compiled_once_per_shape(cold_caches):
+    # each (corners, extra) shape is expanded once, and its interior plan
+    # made once per a+b: every instance the query builds (WDVV reductions
+    # and solver rows) is one lookup in each cache
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
+    built = eng.stats["wdvv_instances"] + eng.stats["solver_instances"]
     info = _boundary_terms.cache_info()
     assert (info.misses, info.hits) == (86, 149)
-    assert info.hits + info.misses == eng.stats["wdvv_instances"] + eng.stats["solver_instances"]
+    assert info.hits + info.misses == built
+    info = _interior_plan.cache_info()
+    assert (info.misses, info.hits) == (86, 149)  # one class, so one a+b
+    assert info.hits + info.misses == built
 
 
-def test_normal_plan_cached_per_raw_tuple():
+def test_normal_plan_cached_per_raw_tuple(cold_caches):
     # the axioms' class-free part is worked out once per raw insertion
-    # tuple: every other normalization of the query is one cache hit
-    _normal_plan.cache_clear()
+    # tuple: every other normalization of the query is one cache hit.
+    # (310, 1193) while each row the table lacked was judged at its class;
+    # the row masks read the plan of every t once per (x, y, P, codim,
+    # a+b), also for tuples no lookup of the query reaches (more misses),
+    # instead of once per row judged (fewer hits)
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
     info = _normal_plan.cache_info()
-    assert (info.misses, info.hits) == (310, 1193)  # (314, 1201) with rows read in part
+    assert (info.misses, info.hits) == (493, 809)
 
 
 def test_add_scaled_accumulates_in_place():
@@ -673,26 +684,39 @@ def test_row_contraction_reports_the_first_unknown_term():
 
 # -- dead interior rows ---------------------------------------------------------
 
+def _row_is_live(key):
+    b, x, y, part, codim = key
+    return bool(_row_mask(x, y, part, codim, 2 * (b[0] + b[1])) >> _pattern(b) & 1)
+
+
 def test_axioms_make_a_row_dead():
-    eng = Engine(c_max=2)
     # a codimension-0 group is T0 alone: the fundamental-class axiom
     t0 = ((1, 0, 0), 1, 1, (), 0)
     # the first stripped divisor T3 has degree c = 0 on (1, 0, 0)
     corner = ((1, 0, 0), 3, 4, (), 3)
-    for key in (t0, corner):
-        assert eng._judge_row(key) is _EMPTY_ROW
-        assert eng._rows[key] is _EMPTY_ROW and key not in eng._live_rows
+    assert not _row_is_live(t0) and not _row_is_live(corner)
     # T3 has degree 1 on (1, 0, 1); on (1, 0, 0) of T1, T2, T3 only T2 has
     # a nonzero degree, so <T4 T10 t> passes the axioms for t = T2 alone
     live = ((1, 0, 1), 3, 4, (), 3), ((1, 0, 0), 4, 10, (), 1)
-    for key in live:
-        assert eng._judge_row(key) is None
-        assert key not in eng._rows and key in eng._live_rows
+    assert all(_row_is_live(key) for key in live)
+    eng = Engine(c_max=2)
     assert [eng._normalize((1, 0, 0), (4, 10, t))[1] is None
             for t in (1, 2, 3)] == [True, False, True]
-    # a side with a dead row is 0; the verdicts looked nothing up
-    assert eng._side(t0, live[0]) == eng._side(live[1], corner) == 0
-    assert eng.memo == {} and live[0] not in eng._rows
+    # the masks are per nonzero pattern (bit n: component n is not 0):
+    # <T3 T4 t> is live exactly where c is not 0, and <T4 T10 t> wherever
+    # some component is, since t = T2, T1, T3 each needs its own
+    assert _row_mask(3, 4, (), 3, 2) == 0b11110000
+    assert _row_mask(4, 10, (), 1, 2) == 0b11111110
+    # a side with a codimension-0 or -4 group, or with a row dead at every
+    # class, never reaches the plan
+    assert _side_plan(1, 1, (), 3, 4, (), 0, 1, 1) is None
+    assert _side_plan(3, 4, (), 1, 1, (), 4, 1, 1) is None
+    assert _side_plan(1, 2, (), 0, 4, (), 1, 0, 1) is None
+    assert _side_plan(3, 4, (), 4, 10, (), 3, 1, 1) == (3, 0b11110000, 0b11111110)
+    # an interior sum builds rows for live sides only: <T4 T4 T13>_(1,1,2)
+    # stores no row the axioms make dead
+    eng.invariant((1, 1, 2), [4, 4, 13])
+    assert eng._rows and all(_row_is_live(key) for key in eng._rows)
 
 
 def test_stored_rows_are_dead_only_when_empty():
@@ -717,14 +741,22 @@ def test_dead_side_absorbs_an_unknown_row():
     # which holds the Unknown <T4^5>_(0,2,0), against the f-row
     # <T1 T2 f>_(0,0,1), which T1's degree 0 on (0,0,1) makes dead: that
     # side is 0, as in the reference loop, which multiplies the Unknown
-    # by exact zeros
+    # by exact zeros.  The side belongs to the instance corners (T4, T4,
+    # T1, T2), extra (T4, T4) at (0, 2, 1), and the plan skips it there
+    # without building the f-row's key
     eng = Engine(c_max=1)
     assert eng.invariant((1, 2, 1), [4, 4, 4, 4, 13]) == 0
     e_key, f_key = ((0, 2, 0), 4, 4, (4, 4), 2), ((0, 0, 1), 1, 2, (), 2)
     assert eng._rows[e_key][1] is None
     assert any(isinstance(v, Unknown) for _, v in eng._rows[e_key][0])
-    assert eng._rows[f_key] is _EMPTY_ROW
-    assert eng._side(e_key, f_key) == 0
+    assert _row_is_live(e_key) and not _row_is_live(f_key)
+    assert f_key not in eng._rows
+    plan = _interior_plan((4, 4, 1, 2), (4, 4), 2)[2]
+    _, _, weight, lhs, _ = next(p for p in plan if p[:2] == ((4, 4), ()))
+    ce, e_mask, f_mask = lhs
+    assert (weight, ce) == (1, 2)
+    assert e_mask >> _pattern((0, 2, 0)) & 1 and not f_mask >> _pattern((0, 0, 1)) & 1
+    assert eng.wdvv_residual(4, 4, 1, 2, (4, 4), (0, 2, 1)) == 0
 
 
 @pytest.mark.parametrize("c_max, beta, ins, unknown_rows", [

@@ -190,6 +190,20 @@ def test_columns_3_2_higher_conjugate_pairs(engine_bidegree):
     assert t3.counts == {0: Fraction(30), 1: Fraction(6), 2: 0, 3: 0, 4: 0}
 
 
+@pytest.mark.parametrize("d1, d2, l, vanishing, wdvv, solver", [
+    (3, 2, 2, True, 1069, 216),
+    (2, 2, 1, False, 909, 376),
+], ids=["3_2_l2_vanishing", "2_2_l1"])
+def test_hyper_column_work_pinned(d1, d2, l, vanishing, wdvv, solver):
+    # the associativity instances one column costs on a fresh engine at
+    # c_max 4, as the CLI's `hyper` command builds it (the two columns of
+    # the hyper-columns benchmark workload); how dead interior sides are
+    # skipped changes none of this work
+    eng = Engine(c_max=4, enable_bidegree_vanishing=vanishing)
+    count_table(HyperellipticQuery(d1, d2, l=l), eng)
+    assert (eng.stats["wdvv_instances"], eng.stats["solver_instances"]) == (wdvv, solver)
+
+
 def test_kontsevich_manin_oracle_values():
     assert [rational_count(d, 1) for d in range(1, 6)] == [1] * 5
     assert [rational_count(*ab) for ab in ((2, 2), (3, 2), (4, 2), (3, 3))] == [12, 96, 640, 3510]
