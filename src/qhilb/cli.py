@@ -5,7 +5,9 @@ Exit codes are a stable contract: 0 success, 1 usage or parse error (a
 seed that contradicts the associativity equations, a ``hyper --gmin``
 outside 0..d1+d2-1, a ``verify --id`` outside 1..17, and an insertion
 list that is malformed or longer than MAX_INSERTIONS included, also the
-l + k insertions a ``hyper`` query builds), 2 the
+l + k insertions a ``hyper`` query builds, and a ``--format`` the command
+does not write: ``hyper`` writes text, json and csv, ``seeds-export``
+text only, every other command text and json), 2 the
 requested value is Unknown, 3 a relation verification failed.
 Runs are deterministic: identical inputs and configuration produce
 byte-identical output, and JSON output re-renders to itself.
@@ -51,6 +53,10 @@ class Config:
             raise UsageError("ytrunc must be >= 0")
         if output_format not in ("text", "json", "csv"):
             raise UsageError("format must be text, json or csv")
+
+
+# The output formats each command writes; the others write text and json.
+FORMATS = {"hyper": ("text", "json", "csv"), "seeds-export": ("text",)}
 
 
 def build_engine(cfg: Config) -> Engine:
@@ -375,6 +381,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed_override_path=args.seeds,
             output_format=args.format,
         )
+        formats = FORMATS.get(args.command, ("text", "json"))
+        if cfg.output_format not in formats:
+            raise UsageError("%s writes --format %s, not %s"
+                             % (args.command, " or ".join(formats), cfg.output_format))
         return args.func(args, cfg)
     except (UsageError, ConsistencyError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -41,12 +41,15 @@ A private third table holds interior rows for the associativity sums: the
 values of <x y t P>_b for every t of one codimension group, keyed by
 (b, x, y, P, codim) with x, y, P in the raw order the sum looks them up.
 A row is always whole: the first sum that needs it looks every entry up
-in t order and stores the nonzero and Unknown ones.  Memo entries under
-raw keys with three or more insertions are written once, so a stored row
-stays equal to what its lookups would return; a normalized two-point
-entry can still go from Unknown to a value, which is why rows are keyed
-in raw order, never sorted.  Each side of a sum (one split and
-partition, one corner pairing) contracts its e-row and f-row in
+in t order and stores the nonzero and Unknown ones as a dict t -> value.
+No memo value changes once written (the two-point solver stores only keys
+the memo lacked, or a mirror's equal value, and solves a class after its
+proper sub-classes, so no solve is re-entered), so a stored row stays
+equal to what its lookups would return.  Rows are keyed in raw order
+because the divisor axiom strips divisors in the tuple's order: two
+orders of the same insertions can normalize to different keys, with
+different Unknown reasons.  Each side of a sum (one split and partition,
+one corner pairing) contracts its e-row and f-row in one (e, f) loop in
 integers, D times the inverse pairing, and each instance divides its
 interior sum by D once.
 
@@ -91,8 +94,9 @@ multiplies the stripped divisors' degrees.
 
 Integral values travel as Python ints: memo entries, seed values, row
 entries, the compiled boundary coefficients, the axioms' divisor factors,
-``LinExpr`` constants and coefficients, and the rows and constants of the
-two-point ``_GaussSolver``.  A ``Fraction`` is kept only for a value that
+and ``LinExpr`` constants and coefficients, the pivot rows of the
+two-point ``_GaussSolver`` included (each a ``LinExpr``, reduced with
+``add_scaled``).  A ``Fraction`` is kept only for a value that
 is not integral (the fibre-class seeds 4/c^2, a non-integral seed
 override or solver value); ``_exact`` turns an integral Fraction back
 into an int where values are stored, and ``_quotient`` divides without
@@ -396,29 +400,16 @@ def _interior_plan(corners: Tuple[int, int, int, int], extra: Insertions, s: int
 
 
 # An interior row: the values of <x y t P>_b over one whole codimension
-# group of t, as (entries, image).  entries lists (t, value) for the
-# nonzero and Unknown values in t order; image maps e to the sum over f of
-# D * g^{ef} * value_f (nonzero ones only), or is None when an entry is
-# Unknown.  Only rows of sides the axioms leave live (``_interior_plan``)
+# group of t, as a dict t -> value holding the nonzero and Unknown values in
+# t order.  Only rows of sides the axioms leave live (``_interior_plan``)
 # are stored; every such row that looks up only zeros is the one constant
 # _EMPTY_ROW (never mutated).
-_Row = Tuple[Tuple[Tuple[int, Value], ...], Optional[Dict[int, Union[int, Fraction]]]]
-_EMPTY_ROW: _Row = ((), {})
+_Row = Dict[int, Value]
+_EMPTY_ROW: _Row = {}
 
 
 def _make_row(values: Iterable[Tuple[int, Value]]) -> _Row:
-    entries = tuple((t, _exact(v)) for t, v in values if isinstance(v, Unknown) or v)
-    if not entries:
-        return _EMPTY_ROW
-    if any(isinstance(v, Unknown) for _, v in entries):
-        return entries, None
-    # g is symmetric (``pairing`` checks it), so column f of g_inv is row f
-    groups = scaled_dual_groups()[1]
-    image: Dict[int, Union[int, Fraction]] = {}
-    for f, v in entries:
-        for e, w in groups[f][1]:
-            image[e] = image.get(e, 0) + w * v
-    return entries, {e: s for e, s in image.items() if s}
+    return {t: _exact(v) for t, v in values if isinstance(v, Unknown) or v} or _EMPTY_ROW
 
 
 def _contract(e_row: _Row, f_row: _Row):
@@ -427,20 +418,11 @@ def _contract(e_row: _Row, f_row: _Row):
     (e, f, that Unknown) for the first such term in (e, f) order, the
     e-row's Unknown first as ``val_mul`` picks it.  A term with an exact
     zero factor is 0, even against an Unknown."""
-    e_entries, e_image = e_row
-    f_entries, image = f_row
-    total = 0
-    if e_image is not None and image is not None:
-        for e, v in e_entries:
-            s = image.get(e)
-            if s:
-                total += v * s
-        return total
-    f_values = dict(f_entries)
     groups = scaled_dual_groups()[1]
-    for e, v in e_entries:
+    total = 0
+    for e, v in e_row.items():
         for f, w in groups[e][1]:
-            p = f_values.get(f)
+            p = f_row.get(f)
             if p is None:
                 continue
             if isinstance(v, Unknown):
@@ -591,30 +573,38 @@ class SeedTable:
     # -- explicit entries --------------------------------------------------
 
     def add(self, beta: Beta, insertions: Sequence[int], value, citation: str) -> None:
-        beta = tuple(beta)
+        """Store <insertions>_beta = value and its factor-swap image.  Bad
+        input (as ``Engine.invariant`` judges it, off the dimension axiom, or
+        a value not an int or Fraction) is a UsageError, a conflict a
+        ConsistencyError; a refused call stores nothing."""
+        beta = _checked_class(beta)
+        check_insertions(insertions, vectors=False)
         ins = tuple(sorted(insertions))
-        if not is_effective(beta) or beta == (0, 0, 0):
-            raise UsageError("seed wants a nonzero effective class, got %r" % (beta,))
         if not dimension_check(beta, ins):
             raise UsageError(
                 "seed <%s>_%r violates the dimension axiom"
                 % (" ".join(chow.BASIS_NAMES[i] for i in ins), beta)
             )
-        value = _exact(Fraction(value))
+        if type(value) not in (int, Fraction):
+            raise UsageError("seed values want an int or a Fraction, got %r" % (value,))
+        value = _exact(value)
         key = (beta, ins)
+        mkey = (iota_beta(beta), iota_insertions(ins))
         old = self.explicit.get(key)
         if old is not None and old[0] != value:
             raise ConsistencyError("conflicting seed for %r: %s vs %s" % (key, old[0], value))
-        self.explicit[key] = (value, citation)
-        mkey = (iota_beta(beta), iota_insertions(ins))
         mold = self.explicit.get(mkey)
         if mold is not None and mold[0] != value:
             raise ConsistencyError("seed not involution-closed at %r" % (mkey,))
+        self.explicit[key] = (value, citation)
         self.explicit[mkey] = (value, citation)
 
     def load_overrides(self, lines: Iterable[str]) -> int:
         """Load "a,b,c | i1 i2 ... | p/q | citation" lines; returns count.
-        A malformed or conflicting line raises UsageError naming it."""
+        A malformed or conflicting line raises UsageError naming it, and
+        so does a bare string (it would be read one character a line)."""
+        if isinstance(lines, str):
+            raise UsageError("seed overrides want a collection of lines, got %r" % (lines,))
         n = 0
         for raw in lines:
             line = raw.strip()
@@ -629,13 +619,11 @@ class SeedTable:
                 value = Fraction(parts[2])
             except (ValueError, ZeroDivisionError):
                 raise UsageError("bad number in seed line: %r" % raw) from None
-            if len(beta) != 3:
-                raise UsageError("bad curve class in seed line: %r" % raw)
             if not all(0 <= i < chow.BASIS_SIZE for i in ins):
                 raise UsageError("basis index out of range in seed line: %r" % raw)
             try:
                 self.add(beta, ins, value, parts[3])
-            except ConsistencyError as exc:
+            except (UsageError, ConsistencyError) as exc:
                 raise UsageError("%s (seed line %r)" % (exc, raw)) from None
             n += 1
         return n
@@ -1194,12 +1182,8 @@ class Engine:
             return
         self._solving.add(beta)
         try:
-            for a1 in range(a + 1):
-                for b1 in range(b + 1):
-                    for c1 in range(c + 1):
-                        sub = (a1, b1, c1)
-                        if sub != beta and sub != (0, 0, 0):
-                            self._ensure_two_point(sub)
+            for sub, _ in splittings(beta):
+                self._ensure_two_point(sub)
             self._solve_two_point(beta)
         finally:
             self._solving.discard(beta)
@@ -1338,43 +1322,37 @@ class _Context:
 # -- exact Gaussian elimination --------------------------------------------------
 
 class _GaussSolver:
-    """Incremental exact row reduction over a fixed variable list.  Pivot
-    rows are kept reduced with leading entry 1.  Entries and constants are
-    ints while integral; only an entry that is not is a Fraction."""
+    """Incremental exact row reduction over a fixed variable list.  Each
+    pivot row is a ``LinExpr`` keyed by its pivot, the row's first
+    variable in list order, kept reduced with that entry 1.  Entries and
+    constants are ints while integral; only an entry that is not is a
+    Fraction."""
 
     def __init__(self, variables: List[Key]):
         self.vars = list(variables)
-        self.index = {v: i for i, v in enumerate(self.vars)}
-        self.rows: List[Tuple[List[Union[int, Fraction]], Union[int, Fraction]]] = []
-        self.pivots: Dict[int, int] = {}
+        self.pivots: Dict[Key, LinExpr] = {}
 
     def add(self, rel: LinExpr) -> bool:
         """Add relation sum coeff*var + const = 0; True if rank grew."""
-        row: List[Union[int, Fraction]] = [0] * len(self.vars)
-        for key, c in rel.coeffs.items():
-            row[self.index[key]] = _exact(c)
-        const = _exact(rel.const)
-        for col, rix in self.pivots.items():
-            f = row[col]
+        row = LinExpr(_exact(rel.const), {key: _exact(c) for key, c in rel.coeffs.items() if c})
+        for key, prow in self.pivots.items():
+            f = row.coeffs.get(key)
             if f:
-                prow, pconst = self.rows[rix]
-                row = _minus_scaled(row, f, prow)
-                const = _exact(const - f * pconst)
-        lead = next((c for c, v in enumerate(row) if v), None)
-        if lead is None:
-            if const:
+                _subtract(row, f, prow)
+        if not row.coeffs:
+            if row.const:
                 raise ConsistencyError("inconsistent associativity system")
             return False
-        d = row[lead]
+        lead = next(key for key in self.vars if key in row.coeffs)
+        d = row.coeffs[lead]
         if d != 1:
-            row = [_quotient(v, d) if v else 0 for v in row]
-            const = _quotient(const, d)
-        for rix, (prow, pconst) in enumerate(self.rows):
-            f = prow[lead]
+            row = LinExpr(_quotient(row.const, d),
+                          {key: _quotient(c, d) for key, c in row.coeffs.items()})
+        for prow in self.pivots.values():
+            f = prow.coeffs.get(lead)
             if f:
-                self.rows[rix] = (_minus_scaled(prow, f, row), _exact(pconst - f * const))
-        self.rows.append((row, const))
-        self.pivots[lead] = len(self.rows) - 1
+                _subtract(prow, f, row)
+        self.pivots[lead] = row
         return True
 
     def fully_determined(self) -> bool:
@@ -1383,22 +1361,15 @@ class _GaussSolver:
     def solve(self):
         """(solved variable -> value, undetermined variables).  A variable
         is determined when its pivot row involves no other variable."""
-        solution = {}
-        determined = set()
-        for col, rix in self.pivots.items():
-            row, const = self.rows[rix]
-            if all(row[c] == 0 for c in range(len(self.vars)) if c != col):
-                solution[self.vars[col]] = -const
-                determined.add(col)
-        undetermined = [self.vars[c] for c in range(len(self.vars)) if c not in determined]
-        return solution, undetermined
+        solution = {key: -row.const for key, row in self.pivots.items() if len(row.coeffs) == 1}
+        return solution, [key for key in self.vars if key not in solution]
 
 
-def _minus_scaled(row: List[Union[int, Fraction]], f: Union[int, Fraction],
-                  prow: List[Union[int, Fraction]]) -> List[Union[int, Fraction]]:
-    """row - f * prow, entry by entry; an integral result is an int."""
-    out = [r - f * p for r, p in zip(row, prow)]
-    return out if all(type(v) is int for v in out) else [_exact(v) for v in out]
+def _subtract(row: LinExpr, f: Union[int, Fraction], prow: LinExpr) -> None:
+    """In place: row -= f * prow, with every integral entry an int."""
+    row.add_scaled(prow, -f)
+    row.const = _exact(row.const)
+    row.coeffs = {key: _exact(c) for key, c in row.coeffs.items()}
 
 
 # -- instance catalog -------------------------------------------------------------

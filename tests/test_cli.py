@@ -289,6 +289,36 @@ def test_gamma_command(capsys):
     assert "beta=(0, 0, 1)" in out
 
 
+# one quick job per command, and the formats it writes
+_COMMANDS = [
+    (("invariant", "--beta", "1,0,1", "--ins", "T13"), ("text", "json")),
+    (("product", "T1", "T3"), ("text", "json")),
+    (("verify", "--id", "1"), ("text", "json")),
+    (("gamma", "T3", "T3", "T8"), ("text", "json")),
+    (("hyper", "--d1", "1", "--d2", "1", "--l", "1"), ("text", "json", "csv")),
+    (("seeds-export",), ("text",)),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, ok", [
+    (argv, fmt, fmt in formats)
+    for argv, formats in _COMMANDS for fmt in ("text", "json", "csv")
+], ids=lambda x: x[0] if isinstance(x, tuple) else str(x))
+def test_format_the_command_does_not_write_exits_1(capsys, argv, fmt, ok):
+    # a format the command cannot write is a usage error naming the ones
+    # it writes, not plain text with exit 0
+    code, out, err = run(capsys, "--cmax", "1", "--ytrunc", "0", "--format", fmt, *argv)
+    if ok:
+        assert (code, err) == (0, "") and out
+        if fmt == "json":
+            json.loads(out)
+    else:
+        formats = dict((a[0], f) for a, f in _COMMANDS)[argv[0]]
+        assert (code, out) == (1, "")
+        assert err == "error: %s writes --format %s, not %s\n" % (
+            argv[0], " or ".join(formats), fmt)
+
+
 # -- fuzz over argv ---------------------------------------------------------------
 
 # well-formed tokens are drawn more often than garbled ones, so that most

@@ -75,7 +75,7 @@ def test_solver_matches_fraction_reference(system):
         assert got == _add(ref, coeffs, const)
         if got == "inconsistent":
             return
-        assert all(_is_exact(v) for row, const in new.rows for v in row + [const])
+        assert all(_is_exact(v) for r in new.pivots.values() for v in (r.const, *r.coeffs.values()))
     solution, undetermined = new.solve()
     assert (solution, undetermined) == ref.solve()
     assert all(_is_exact(v) for v in solution.values())

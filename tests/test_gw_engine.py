@@ -4,8 +4,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qhilb.chow import CODIM, CohVector, UsageError, cup_basis, dual_groups, scaled_dual_groups
+from qhilb.chow import (
+    CODIM,
+    CohVector,
+    UsageError,
+    cup_basis,
+    dual_groups,
+    pairing,
+    scaled_dual_groups,
+)
 from qhilb.coeffring import rat_str
 from qhilb.gw_engine import (
     _EMPTY_ROW,
@@ -563,6 +573,52 @@ def test_seed_conflict_detected():
         table.add((1, 0, 1), (13,), 3, "clash")
 
 
+@pytest.mark.parametrize("beta, ins, value", [
+    ((1, 0, 1), (-1,), 5),  # -1 would read as T13 through the mirror
+    ((1, 0, 1), (14,), 5),
+    ((1, 0, 1), 13, 5),
+    ((1, 0), (13,), 5),
+    (5, (13,), 5),
+    ((-1, 2, 1), (4,) * 3, 5),
+    ((0, 0, 0), (), 5),
+    ((True, 0, 1), (13,), 2),
+    ((1, 0, 1), (True,), 2),
+    ((1, 0, 1), (13,), 1.5),
+    ((1, 0, 1), (13,), 0.1),
+    ((1, 0, 1), (13,), True),
+    ((1, 0, 1), (13,), None),
+    ((1, 0, 1), (13,), "x"),
+    ((1, 0, 1), (13,), "1/0"),
+    ((1, 0, 1), (13, 13), 2),  # off the dimension axiom
+], ids=lambda x: repr(x))
+def test_seed_add_refuses_bad_input(beta, ins, value):
+    eng = Engine(c_max=1)
+    before = dict(eng.seeds.explicit)
+    with pytest.raises(UsageError):
+        eng.seeds.add(beta, ins, value, "x")
+    assert eng.seeds.explicit == before
+    assert eng.invariant((1, 0, 1), [13]) == 2
+    assert eng.provenance_of((1, 0, 1), (13,)).startswith("seed: one- and two-point")
+
+
+def test_seed_add_conflict_stores_nothing():
+    # the key agrees but its mirror does not: neither entry changes
+    table = SeedTable()
+    table.add((1, 0, 1), (5, 10), 2, "first")
+    table.explicit[((0, 1, 1), (5, 11))] = (3, "planted")
+    before = dict(table.explicit)
+    with pytest.raises(ConsistencyError):
+        table.add((1, 0, 1), (5, 10), 2, "again")
+    assert table.explicit == before
+
+
+def test_seed_overrides_refuse_a_bare_string():
+    # a string is an iterable of one-character lines
+    with pytest.raises(UsageError, match="collection of lines"):
+        Engine(seed_overrides="1,0,1 | 13 | 2 | x")
+    assert Engine(c_max=1, seed_overrides=["1,0,1 | 13 | 2 | x"]).invariant((1, 0, 1), [13]) == 2
+
+
 def test_provenance_strings(engine):
     engine.invariant((1, 0, 1), [13])
     note = engine.provenance_of((1, 0, 1), (13,))
@@ -661,7 +717,7 @@ def test_row_contraction_is_exact():
         want = sum((e_vals[e] * w * f_vals[f] for e, fws in dual_groups()
                     if CODIM[e] == ce for f, w in fws), Fraction(0))
         assert Fraction(_contract(e_row, f_row), denom) == want
-        for _, v in e_row[0] + f_row[0]:
+        for v in [*e_row.values(), *f_row.values()]:
             assert v and (type(v) is int or v.denominator > 1)
     assert _make_row([(4, Fraction(0)), (5, Fraction(0))]) is _EMPTY_ROW
     assert _contract(_EMPTY_ROW, _make_row([(4, Unknown("x"))])) == 0
@@ -680,6 +736,52 @@ def test_row_contraction_reports_the_first_unknown_term():
     assert _contract(_make_row([(6, 3)]), _make_row([(5, y), (9, 2)])) == (6, 5, y)
     assert _contract(_make_row([(5, x)]), _make_row([(4, y)])) == (5, 4, x)
     assert _contract(_make_row([(5, 1)]), _make_row([(6, y), (8, x)])) == (5, 6, y)
+
+
+# a row's values before ``_make_row``: zeros are drawn often, and "U"
+# stands for an Unknown named after its place
+_ROW_VALUE = st.one_of(st.integers(-3, 3), st.just(0), st.just("U"),
+                       st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def _row_pairs(draw):
+    ce = draw(st.integers(0, 4))
+    rows = []
+    for side, codim in (("e", ce), ("f", 4 - ce)):
+        rows.append({t: Unknown("%s%d" % (side, t)) if v == "U" else v
+                     for t in range(len(CODIM)) if CODIM[t] == codim
+                     for v in [draw(_ROW_VALUE)]})
+    return rows
+
+
+def _contract_by_loop(e_vals, f_vals):
+    # every (e, f) term in order, each product as ``val_mul`` takes it
+    g_inv = pairing().g_inv
+    total = Fraction(0)
+    for e, x in e_vals.items():
+        for f, y in f_vals.items():
+            if g_inv[e][f]:
+                term = val_mul(x, y)
+                if isinstance(term, Unknown):
+                    return e, f, term
+                total += g_inv[e][f] * term
+    return total
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_row_pairs())
+def test_contract_matches_the_term_loop(rows):
+    # rows built from random values (ints, Fractions, zeros, Unknowns)
+    # contract, divided by D, to the loop over every (e, f) term, or stop
+    # at the same first Unknown term
+    e_vals, f_vals = rows
+    got = _contract(_make_row(e_vals.items()), _make_row(f_vals.items()))
+    want = _contract_by_loop(e_vals, f_vals)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert Fraction(got, scaled_dual_groups()[0]) == want
 
 
 # -- dead interior rows ---------------------------------------------------------
@@ -727,10 +829,10 @@ def test_stored_rows_are_dead_only_when_empty():
     eng._rows[e_key] = _make_row([(1, Unknown("y"))])
     eng._rows[key] = _EMPTY_ROW
     assert eng._side(e_key, key) == 0
-    # a stored row with entries is live, even where its image is empty
-    # or it is all Unknown, so the Unknown e-row facing it (g^{1,11} is
-    # not 0) is not contracted to 0
-    for row in ((((11, 1),), {}), (((11, Unknown("x")),), None)):
+    # a stored row with entries is live, whether they are numbers or all
+    # Unknown, so the Unknown e-row facing it (g^{1,11} is not 0) is not
+    # contracted to 0
+    for row in ({11: 1}, {11: Unknown("x")}):
         eng._rows[key] = row
         assert eng._side(e_key, key) == (1, 11, Unknown("y"))
     assert eng.memo == {}
@@ -747,8 +849,7 @@ def test_dead_side_absorbs_an_unknown_row():
     eng = Engine(c_max=1)
     assert eng.invariant((1, 2, 1), [4, 4, 4, 4, 13]) == 0
     e_key, f_key = ((0, 2, 0), 4, 4, (4, 4), 2), ((0, 0, 1), 1, 2, (), 2)
-    assert eng._rows[e_key][1] is None
-    assert any(isinstance(v, Unknown) for _, v in eng._rows[e_key][0])
+    assert any(isinstance(v, Unknown) for v in eng._rows[e_key].values())
     assert _row_is_live(e_key) and not _row_is_live(f_key)
     assert f_key not in eng._rows
     plan = _interior_plan((4, 4, 1, 2), (4, 4), 2)[2]
@@ -765,23 +866,24 @@ def test_dead_side_absorbs_an_unknown_row():
 ])
 def test_stored_rows_are_whole(c_max, beta, ins, unknown_rows):
     # every row a cold query stores holds the nonzero and Unknown values of
-    # its whole codimension group, as looking each entry up returns them,
-    # and an Unknown-free row's image is their contraction with D * g^{ef}
+    # its whole codimension group in t order, as looking each entry up
+    # returns them, and contracting an Unknown-free row against a unit
+    # e-row gives D * g^{ef} summed against it
     eng = Engine(c_max=c_max)
     eng.invariant(beta, ins)
     rows = dict(eng._rows)
-    assert sum(1 for row in rows.values() if row[1] is None) == unknown_rows
+    assert sum(1 for row in rows.values()
+               if any(isinstance(v, Unknown) for v in row.values())) == unknown_rows
     denom, _ = scaled_dual_groups()
-    for (b, x, y, part, codim), (entries, image) in rows.items():
+    for (b, x, y, part, codim), row in rows.items():
         values = [(t, eng._invariant(b, (x, y, t) + part))
                   for t in range(len(CODIM)) if CODIM[t] == codim]
-        assert entries == tuple((t, v) for t, v in values if isinstance(v, Unknown) or v)
+        assert list(row.items()) == [(t, v) for t, v in values if isinstance(v, Unknown) or v]
         if any(isinstance(v, Unknown) for _, v in values):
-            assert image is None
             continue
         got = dict(values)
-        want = {e: denom * sum(w * got.get(f, 0) for f, w in fws) for e, fws in dual_groups()}
-        assert image == {e: s for e, s in want.items() if s}
+        for e, fws in dual_groups():
+            assert _contract({e: 1}, row) == denom * sum(w * got.get(f, 0) for f, w in fws)
 
 # -- number types ----------------------------------------------------------------
 
@@ -815,12 +917,16 @@ def test_fraction_constructions_pinned(fraction_count):
     # fibre-class seeds 4/c^2 included, so a cold query builds Fractions
     # only for non-integral values and the public result (18,065 when every
     # value was a Fraction, 1,664 while the solver's rows were Fractions,
-    # 82 while the seeds 4/1 and 4/4 were, and 83 once rows were looked up
-    # whole, which reads one more of those seeds)
+    # 82 while the seeds 4/1 and 4/4 were, 83 once rows were looked up
+    # whole, which reads one more of those seeds, and 65 while the solver's
+    # rows were dense lists: a row operation with a non-integral factor f
+    # built two Fractions, f * 0 and r - f * 0, for each zero entry of the
+    # pivot row, 40 in this query; the sparse rows skip those and build 3
+    # for the -f that ``LinExpr.add_scaled`` takes)
     Engine(c_max=2).invariant((1, 1, 2), [4, 4, 13])  # fill the module caches
     value, calls = fraction_count(lambda: Engine(c_max=2).invariant((1, 1, 2), [4, 4, 13]))
     assert value == 2
-    assert calls == 65
+    assert calls == 28
 
 
 @pytest.mark.parametrize("ins", [(4, 4, 12), (12, 4, 4)])
