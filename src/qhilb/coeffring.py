@@ -46,11 +46,33 @@ def monomial_str(m: QMonomial) -> str:
     return " ".join(parts) if parts else "1"
 
 
+def _exact_coeff(x):
+    # a float, a string or a bool would be read as some other number
+    if type(x) is not int and type(x) is not Fraction:
+        raise ValueError("QSeries coefficients want an int or a Fraction, got %r" % (x,))
+    return x
+
+
+def accumulate_product(acc: Dict[QMonomial, Rational], x: "QSeries", y: "QSeries") -> None:
+    """Add the terms of x * y (truncated at x's c_max) into ``acc``."""
+    c_max = x.c_max
+    y_terms = y.terms.items()
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y_terms:
+            e3 = m1[2] + m2[2]
+            if e3 > c_max:
+                continue
+            m = (m1[0] + m2[0], m1[1] + m2[1], e3)
+            acc[m] = acc.get(m, _ZERO) + c1 * c2
+
+
 class QSeries:
     """An element of Q[q1,q2][[q3]] truncated at q3^c_max.
 
-    Instances are immutable; all operators return fresh series.  Stored
-    terms never have zero coefficient and never exceed the truncation.
+    Instances are immutable, so an operation may return one of its
+    operands (``x + 0`` is ``x``).  Stored terms never have zero
+    coefficient and never exceed the truncation; coefficients are
+    Fractions, and the constructors take only ints and Fractions.
     """
 
     __slots__ = ("terms", "c_max")
@@ -66,10 +88,19 @@ class QSeries:
                 raise TruncationExceeded(
                     "monomial %s beyond truncation q3^%d" % (monomial_str(m), c_max)
                 )
-            if coeff != 0:
+            if _exact_coeff(coeff):
                 clean[m] = coeff if type(coeff) is Fraction else Fraction(coeff)
         self.terms = clean
         self.c_max = c_max
+
+    @classmethod
+    def _make(cls, terms: Dict[QMonomial, Rational], c_max: int) -> "QSeries":
+        """Unchecked constructor for ring-operation results: the terms are
+        Fractions within the truncation already; zeros are dropped."""
+        out = object.__new__(cls)
+        out.terms = {m: c for m, c in terms.items() if c}
+        out.c_max = c_max
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -83,11 +114,11 @@ class QSeries:
 
     @classmethod
     def monomial(cls, m: QMonomial, c_max: int, coeff: Rational = Fraction(1)) -> "QSeries":
-        return cls({tuple(m): Fraction(coeff)}, c_max)
+        return cls({tuple(m): coeff}, c_max)
 
     @classmethod
     def scalar(cls, x: Rational, c_max: int) -> "QSeries":
-        return cls({(0, 0, 0): Fraction(x)}, c_max)
+        return cls({(0, 0, 0): x}, c_max)
 
     # -- ring operations ---------------------------------------------------
 
@@ -99,38 +130,35 @@ class QSeries:
 
     def __add__(self, other: "QSeries") -> "QSeries":
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, _ZERO) + c
-        return QSeries(terms, self.c_max)
+        return QSeries._make(terms, self.c_max)
 
     def __neg__(self) -> "QSeries":
-        return QSeries({m: -c for m, c in self.terms.items()}, self.c_max)
+        return QSeries._make({m: -c for m, c in self.terms.items()}, self.c_max)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
+        if not isinstance(other, QSeries):
             return self.scale(other)
         self._check(other)
         terms: Dict[QMonomial, Rational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                e3 = m1[2] + m2[2]
-                if e3 > self.c_max:
-                    continue
-                m = (m1[0] + m2[0], m1[1] + m2[1], e3)
-                terms[m] = terms.get(m, _ZERO) + c1 * c2
-        return QSeries(terms, self.c_max)
+        accumulate_product(terms, self, other)
+        return QSeries._make(terms, self.c_max)
 
     __rmul__ = __mul__
 
     def scale(self, x) -> "QSeries":
-        x = Fraction(x)
-        if x == 0:
+        if not _exact_coeff(x):
             return QSeries.zero(self.c_max)
-        return QSeries({m: c * x for m, c in self.terms.items()}, self.c_max)
+        return QSeries._make({m: c * x for m, c in self.terms.items()}, self.c_max)
 
     def coeff(self, m: QMonomial) -> Rational:
         """Exact coefficient of the monomial; zero when absent.

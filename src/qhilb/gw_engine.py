@@ -221,6 +221,7 @@ def iota_beta(beta: Beta) -> Beta:
     return (b, a, c)
 
 
+@lru_cache(maxsize=None)
 def iota_insertions(ins: Insertions) -> Insertions:
     return tuple(sorted(IOTA[i] for i in ins))
 
@@ -561,13 +562,17 @@ class SeedTable:
             raise UsageError("disabled seed rules want a collection of rule names, got %r"
                              % (disabled_rules,))
         self.disabled_rules = frozenset(disabled_rules)
-        names = [name for name, _ in _SEED_RULES]
+        names = [name for name, _, _ in _SEED_RULES]
         unknown = sorted(self.disabled_rules.difference(names))
         if unknown:
             raise UsageError("unknown seed rule %s; the rules are %s"
                              % (", ".join(unknown), ", ".join(names)))
-        self._rules = tuple(rule for name, rule in _SEED_RULES
-                            if name not in self.disabled_rules)
+        # the enabled rules that can fire at each insertion count, in order
+        rules = [(arity, rule) for name, arity, rule in _SEED_RULES
+                 if name not in self.disabled_rules]
+        self._any_count = tuple(rule for arity, rule in rules if arity is None)
+        self._by_count = {n: tuple(rule for arity, rule in rules if arity is None or n in arity)
+                          for n in {n for _, arity, _ in _SEED_RULES for n in arity or ()}}
         self.explicit: Dict[Key, Tuple[Value, str]] = {}
 
     # -- explicit entries --------------------------------------------------
@@ -669,7 +674,7 @@ class SeedTable:
             return hit
         if beta[0] < beta[1]:
             beta, ins = iota_beta(beta), iota_insertions(ins)
-        for rule in self._rules:
+        for rule in self._by_count.get(len(ins), self._any_count):
             got = rule(self, beta, ins)
             if got is not None:
                 return got
@@ -739,7 +744,7 @@ def _rule_balanced_point(table, beta, ins):
 
 
 def _rule_pure_t4(table, beta, ins):
-    if not ins or any(i != 4 for i in ins):
+    if not ins or ins[0] != 4 or ins[-1] != 4:  # sorted: all T4
         return None
     m = len(ins)
     if m in (1, 3):
@@ -761,15 +766,17 @@ def _rule_dressing(table, beta, ins):
     return (_exact(deg * sub[0]), _CIT_DRESSED + sub[1])
 
 
+# (name, the insertion counts at which the rule can fire or None for
+# any count, rule); the first rule that fires wins
 _SEED_RULES = (
-    ("s1s2", _rule_fiber_one_point),
-    ("s3", _rule_ruled_classes),
-    ("s4", _rule_high_fiber_vanishing),
-    ("s5", _rule_assoc_table),
-    ("s6", _rule_worked_two_point),
-    ("s7", _rule_balanced_point),
-    ("s8s9", _rule_pure_t4),
-    ("dressing", _rule_dressing),
+    ("s1s2", (1,), _rule_fiber_one_point),
+    ("s3", (1, 2), _rule_ruled_classes),
+    ("s4", (2, 3), _rule_high_fiber_vanishing),
+    ("s5", (2,), _rule_assoc_table),
+    ("s6", (2,), _rule_worked_two_point),
+    ("s7", (2,), _rule_balanced_point),
+    ("s8s9", None, _rule_pure_t4),
+    ("dressing", (2,), _rule_dressing),
 )
 
 
@@ -1391,17 +1398,37 @@ def _corner_quadruples(total_codim: int):
                     yield (i, j, k, l)
 
 
-def _instance_catalog(beta: Beta):
-    """Candidate associativity instances for the two-point solver at one
-    curve class: dimension-balanced corner quadruples, no extra insertions
-    first, then a single codimension-2 extra for stubborn systems."""
-    want = expected_dim(beta, 3)
+def _catalog_source(want: int):
+    """Candidate associativity instances for the two-point solver at the
+    classes with expected_dim(beta, 3) == want: dimension-balanced corner
+    quadruples, no extra insertions first, then a single codimension-2
+    extra for stubborn systems."""
     for corners in _corner_quadruples(want):
         yield corners, ()
     for t in (4, 5, 8):
         # with one extra insertion the corner codimensions drop by cod(t)-1
         for corners in _corner_quadruples(want + 1 - CODIM[t]):
             yield corners, (t,)
+
+
+# want -> (the catalog entries read so far, the source of the rest)
+_CATALOGS: Dict[int, Tuple[List, Iterator]] = {}
+
+
+def _instance_catalog(beta: Beta):
+    """``_catalog_source(expected_dim(beta, 3))``, read from a module
+    cache that is extended only as far as some solve has read it."""
+    want = expected_dim(beta, 3)
+    if want not in _CATALOGS:
+        _CATALOGS[want] = ([], _catalog_source(want))
+    prefix, source = _CATALOGS[want]
+    for n in itertools.count():
+        if n == len(prefix):
+            entry = next(source, None)
+            if entry is None:
+                return
+            prefix.append(entry)
+        yield prefix[n]
 
 
 def _instance_signature(i, j, k, l):

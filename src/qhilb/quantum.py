@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from itertools import combinations_with_replacement
 from math import factorial
@@ -27,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import chow
 from .chow import IOTA, CohVector, UsageError, scaled_dual_groups
-from .coeffring import QSeries, Rational, geometric_q3
+from .coeffring import QSeries, Rational, TruncationMismatch, accumulate_product, geometric_q3
 from .gw_engine import Beta, Engine, Unknown, check_insertions, dimension_classes, is_effective
 
 Insertion = int
@@ -59,9 +60,16 @@ class QCohVector:
     __slots__ = ("coords", "c_max")
 
     def __init__(self, coords: Sequence[QSeries], c_max: int):
+        coords = tuple(coords)
         if len(coords) != chow.BASIS_SIZE:
             raise ValueError("expected %d coordinates" % chow.BASIS_SIZE)
-        self.coords = tuple(coords)
+        for s in coords:
+            if not isinstance(s, QSeries):
+                raise ValueError("QCohVector coordinates want QSeries, got %r" % (s,))
+            if s.c_max != c_max:
+                raise TruncationMismatch("coordinate at c_max %d in a vector at c_max %d"
+                                         % (s.c_max, c_max))
+        self.coords = coords
         self.c_max = c_max
 
     @classmethod
@@ -90,8 +98,8 @@ class QCohVector:
 
     def scale(self, s: Union[QSeries, Rational, int]) -> "QCohVector":
         if not isinstance(s, QSeries):
-            s = QSeries.scalar(Fraction(s), self.c_max)
-        return QCohVector([a * s for a in self.coords], self.c_max)
+            s = QSeries.scalar(s, self.c_max)
+        return QCohVector([a * s if a.terms else a for a in self.coords], self.c_max)
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.coords)
@@ -169,15 +177,24 @@ class SmallQuantum:
 
     def _bilinear(self, x: QCohVector, y: QCohVector,
                   table: Callable[[int, int], QCohVector]) -> QCohVector:
-        out = QCohVector.zero(self.c_max)
+        # one dict of terms per output coordinate; table(i, j) is asked for every
+        # pair of nonzero coordinates, also where si * sj truncates to 0
+        if not x.c_max == y.c_max == self.c_max:
+            raise TruncationMismatch("c_max mismatch: %d, %d vs %d" % (x.c_max, y.c_max, self.c_max))
+        acc: List[Dict] = [{} for _ in range(chow.BASIS_SIZE)]
+        y_nonzero = [(j, sj) for j, sj in enumerate(y.coords) if sj.terms]
         for i, si in enumerate(x.coords):
-            if si.is_zero():
+            if not si.terms:
                 continue
-            for j, sj in enumerate(y.coords):
-                if sj.is_zero():
+            for j, sj in y_nonzero:
+                entry = table(i, j)
+                w = si * sj
+                if not w.terms:
                     continue
-                out = out + table(i, j).scale(si * sj)
-        return out
+                for terms, t in zip(acc, entry.coords):
+                    if t.terms:
+                        accumulate_product(terms, t, w)
+        return QCohVector([QSeries._make(t, self.c_max) for t in acc], self.c_max)
 
     def product(self, x: QCohVector, y: QCohVector) -> QCohVector:
         return self._bilinear(x, y, self.basis_product)
@@ -306,7 +323,10 @@ def _iota_ast(node):
 
 
 class Relation:
-    """One presentation relation: id, source text, syntax tree."""
+    """One presentation relation: id, source text, syntax tree.  Shared by
+    every ``load_relations`` list: only ``__init__`` assigns to it."""
+
+    __slots__ = ("id", "text", "ast")
 
     def __init__(self, rel_id: int, text: str, ast):
         self.id = rel_id
@@ -318,7 +338,13 @@ _MIRROR_SOURCES = {12: 2, 13: 3, 14: 4, 15: 7, 16: 9, 17: 11}
 
 
 def load_relations() -> List[Relation]:
-    """The seventeen relations: eleven from the data file, six mirrors."""
+    """The seventeen relations: eleven from the data file, six mirrors.
+    The file is parsed once; each call returns a fresh list."""
+    return list(_parsed_relations())
+
+
+@lru_cache(maxsize=None)
+def _parsed_relations() -> Tuple[Relation, ...]:
     text = resources.files("qhilb.data").joinpath("relations.txt").read_text()
     by_id: Dict[int, Relation] = {}
     for raw in text.splitlines():
@@ -334,7 +360,7 @@ def load_relations() -> List[Relation]:
     for rel_id, src in _MIRROR_SOURCES.items():
         base = by_id[src]
         by_id[rel_id] = Relation(rel_id, "iota[%s]" % base.text, _iota_ast(base.ast))
-    return [by_id[i] for i in range(1, 18)]
+    return tuple(by_id[i] for i in range(1, 18))
 
 
 class _Evaluator:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhilb import gw_engine
+from qhilb import gw_engine, quantum
 from qhilb.gw_engine import Engine
 
 
@@ -40,9 +40,12 @@ def fraction_count(monkeypatch):
 
 @pytest.fixture
 def cold_caches():
-    """Empty every module-level cache of ``qhilb.gw_engine`` (the plans and
-    the compiled shapes), so that a test counting cache misses and hits
-    reads the same numbers whichever tests ran before it."""
-    for obj in vars(gw_engine).values():
-        if hasattr(obj, "cache_clear"):
-            obj.cache_clear()
+    """Empty every module-level cache of ``qhilb.gw_engine`` and
+    ``qhilb.quantum`` (the plans, the compiled shapes, the solver catalogs
+    and the parsed relations), so that a test counting cache misses and
+    hits reads the same numbers whichever tests ran before it."""
+    for module in (gw_engine, quantum):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    gw_engine._CATALOGS.clear()

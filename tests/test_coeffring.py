@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,32 @@ def test_rendering():
 def test_geometric_tail():
     g = geometric_q3(3)
     assert [g.coeff((0, 0, c)) for c in range(4)] == [0, 1, 1, 1]
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/3", True, False, None, 1j],
+                         ids=["float", "integral-float", "str", "True", "False", "None", "complex"])
+@pytest.mark.parametrize("make", [
+    lambda x: QSeries({(0, 0, 0): x}, 2),
+    lambda x: QSeries.scalar(x, 2),
+    lambda x: QSeries.monomial((1, 0, 1), 2, x),
+    lambda x: QSeries.one(2).scale(x),
+    lambda x: QSeries.one(2) * x,
+], ids=["init", "scalar", "monomial", "scale", "mul"])
+def test_inexact_coefficients_refused(make, bad):
+    # a float would be stored as its binary value, a string parsed and a
+    # bool read as 0 or 1; the error names the coefficient
+    with pytest.raises(ValueError, match="int or a Fraction, got %s" % re.escape(repr(bad))):
+        make(bad)
+
+
+def test_operations_keep_exact_coefficients():
+    x = QSeries({(0, 0, 0): 2, (1, 0, 1): Fraction(1, 3)}, 2)
+    assert all(type(c) is Fraction for c in x.terms.values())
+    assert x.scale(0).is_zero() and (x * Fraction(3)).coeff((1, 0, 1)) == 1
+    # an operand can be returned as it is
+    assert x + QSeries.zero(2) is x and QSeries.zero(2) + x is x
+    with pytest.raises(TruncationMismatch):
+        QSeries.zero(2) + QSeries.zero(3)
 
 
 # -- ring axioms as property tests -------------------------------------------

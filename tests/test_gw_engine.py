@@ -27,8 +27,10 @@ from qhilb.gw_engine import (
     SeedTable,
     Unknown,
     _boundary_terms,
+    _catalog_source,
     _Context,
     _contract,
+    _instance_catalog,
     _interior_plan,
     _make_row,
     _normal_plan,
@@ -37,6 +39,7 @@ from qhilb.gw_engine import (
     _side_plan,
     dimension_check,
     dimension_classes,
+    expected_dim,
     iota_beta,
     iota_insertions,
     val_mul,
@@ -530,11 +533,59 @@ def test_seed_table_involution_closed(vanishing):
         for ins in itertools.combinations_with_replacement(range(1, 14), n)
         if dimension_check((a, b, c), ins)
     ]
-    for disabled in [()] + [(name,) for name, _ in _SEED_RULES]:
+    for disabled in [()] + [(name,) for name, _, _ in _SEED_RULES]:
         table = SeedTable(vanishing, disabled)
         for beta, ins in keys:
             image = table.lookup(iota_beta(beta), iota_insertions(ins))
             assert table.lookup(beta, ins) == image, (disabled, beta, ins)
+
+
+def _every_rule_lookup(table, beta, ins):
+    # SeedTable.lookup as a loop over every enabled rule, whatever the
+    # number of insertions
+    hit = table.explicit.get((beta, ins))
+    if hit is not None:
+        return hit
+    if beta[0] < beta[1]:
+        beta, ins = iota_beta(beta), iota_insertions(ins)
+    for name, _, rule in _SEED_RULES:
+        if name not in table.disabled_rules:
+            got = rule(table, beta, ins)
+            if got is not None:
+                return got
+    return None
+
+
+_SEED_KEYS = [
+    (beta, ins)
+    for n in range(1, 6)
+    for ins in itertools.combinations_with_replacement(range(1, 14), n)
+    for beta in dimension_classes(ins, 4) if beta[0] + beta[1] <= 3
+]
+
+
+@pytest.mark.parametrize("vanishing", [False, True])
+def test_seed_rules_by_arity_match_every_rule(vanishing):
+    # lookup runs only the rules declared for the key's insertion count;
+    # every dimension-consistent key with 1-5 insertions, a+b <= 3, c <= 4
+    assert len(_SEED_KEYS) == 55180
+    for disabled in [()] + [(name,) for name, _, _ in _SEED_RULES]:
+        table = SeedTable(vanishing, disabled)
+        for beta, ins in _SEED_KEYS:
+            assert table.lookup(beta, ins) == _every_rule_lookup(table, beta, ins), (
+                disabled, beta, ins)
+
+
+def test_instance_catalog_cache_matches_source(cold_caches):
+    # the cached catalog of a codimension total yields the source's
+    # sequence, read whole or after another solve has read part of it
+    for beta in [(0, 0, 1), (1, 0, 2), (1, 1, 0), (2, 1, 3), (0, 3, 1)]:
+        want = list(_catalog_source(expected_dim(beta, 3)))
+        part = _instance_catalog(beta)
+        head = [next(part) for _ in range(5)]
+        assert list(_instance_catalog(beta)) == want
+        assert head + list(part) == want
+        assert list(_instance_catalog(beta)) == want
 
 
 def test_disabled_seed_rules_must_name_rules():
@@ -543,7 +594,7 @@ def test_disabled_seed_rules_must_name_rules():
     for disabled in (("s55",), ("s5", "bogus"), "s5"):
         with pytest.raises(UsageError):
             Engine(c_max=1, disabled_seed_rules=disabled)
-    names = [name for name, _ in _SEED_RULES]
+    names = [name for name, _, _ in _SEED_RULES]
     table = SeedTable(disabled_rules=names)
     assert table.lookup((1, 0, 1), (13,)) is None
     assert SeedTable(disabled_rules=set(names) - {"s3"}).lookup((1, 0, 1), (13,)) == (

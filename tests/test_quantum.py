@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from qhilb import chow
+from qhilb import chow, quantum
 from qhilb.chow import CODIM, IOTA, UsageError
-from qhilb.coeffring import QSeries
+from qhilb.coeffring import QSeries, TruncationMismatch
 from qhilb.gw_engine import Engine, Unknown
 from qhilb.quantum import (
     MissingInvariant,
@@ -81,6 +81,36 @@ def test_quantum_entry_points_check_indices(call):
     with pytest.raises(UsageError):
         call(eng)
     assert eng.memo == {}
+
+
+# -- vectors --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("coords, error", [
+    ([QSeries.one(3)] * 14, TruncationMismatch),
+    ([QSeries.one(2)] * 13, ValueError),
+    ([QSeries.one(2)] * 13 + [Fraction(1)], ValueError),
+    ([QSeries.one(2)] * 13 + [None], ValueError),
+], ids=["other-c-max", "thirteen", "fraction-coordinate", "none-coordinate"])
+def test_vector_checks_its_coordinates(coords, error):
+    # refused where the vector is built, not at its first sum
+    with pytest.raises(error):
+        QCohVector(coords, 2)
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/3", True])
+def test_vector_scale_refuses_inexact(bad):
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        QCohVector.basis(1, 2).scale(bad)
+
+
+def test_vector_scale_checks_c_max():
+    v = QCohVector.basis(1, 2)
+    assert v.scale(Fraction(1, 2)).coords[1].coeff((0, 0, 0)) == Fraction(1, 2)
+    assert v.scale(QSeries.monomial((0, 0, 2), 2)).coords[1] == QSeries.monomial((0, 0, 2), 2)
+    with pytest.raises(TruncationMismatch):
+        v.scale(QSeries.one(3))
+    with pytest.raises(TruncationMismatch):
+        SmallQuantum(Engine(c_max=3)).product(v, v)
 
 
 # -- small products ---------------------------------------------------------------
@@ -221,6 +251,19 @@ def test_relation_file_parses():
     rels = load_relations()
     assert [r.id for r in rels] == list(range(1, 18))
     assert sum(1 for r in rels if r.text.startswith("iota[")) == 6
+
+
+def test_relation_file_parsed_once(cold_caches, monkeypatch):
+    # every call hands out a fresh list of the same immutable relations
+    parsed = []
+    tokenize = quantum._tokenize
+    monkeypatch.setattr(quantum, "_tokenize", lambda text: parsed.append(text) or tokenize(text))
+    load_relations().clear()
+    rels = load_relations()
+    assert len(parsed) == 11 and len(rels) == 17
+    assert rels[0] is load_relations()[0]
+    with pytest.raises(AttributeError):
+        rels[0].note = "shared by every caller"
 
 
 def test_parser_rejects_garbage():
