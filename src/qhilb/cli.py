@@ -21,6 +21,7 @@ import io
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from . import chow, hyperelliptic, quantum
@@ -89,7 +90,26 @@ MAX_INSERTIONS = 1000
 
 def parse_insertions(tokens: Sequence[str]) -> List[int]:
     """Tokens like T4^5 T13 (or bare 4^5 13) into a list of at most
-    MAX_INSERTIONS basis indices."""
+    MAX_INSERTIONS basis indices, at least one."""
+    out = _expand_insertions(tokens)
+    if not out:
+        raise UsageError("no insertions given")
+    return out
+
+
+def parse_classes(command: str, tokens: Sequence[str]) -> List[int]:
+    """The positionals of ``product`` and ``gamma``: each one basis class
+    (T4, 4 or T4^1), so T4^2 or T4^0 cannot stand for a different count."""
+    out: List[int] = []
+    for tok in tokens:
+        ins = _expand_insertions([tok])
+        if len(ins) != 1:
+            raise UsageError("%s wants one basis class per argument, got %r" % (command, tok))
+        out.extend(ins)
+    return out
+
+
+def _expand_insertions(tokens: Sequence[str]) -> List[int]:
     out: List[int] = []
     for tok in tokens:
         for piece in tok.split():
@@ -109,8 +129,6 @@ def parse_insertions(tokens: Sequence[str]) -> List[int]:
             if len(out) + mult > MAX_INSERTIONS:
                 raise UsageError("more than %d insertions at %r" % (MAX_INSERTIONS, piece))
             out.extend([idx] * mult)
-    if not out:
-        raise UsageError("no insertions given")
     return out
 
 
@@ -164,10 +182,7 @@ def cmd_invariant(args, cfg: Config) -> int:
 
 
 def cmd_product(args, cfg: Config) -> int:
-    ins = parse_insertions([args.left, args.right])
-    if len(ins) != 2:
-        raise UsageError("product wants exactly two basis classes")
-    i, j = ins
+    i, j = parse_classes("product", [args.left, args.right])
     engine = build_engine(cfg)
     try:
         result = quantum.small_product(engine, i, j)
@@ -265,9 +280,7 @@ def cmd_hyper(args, cfg: Config) -> int:
 
 
 def cmd_gamma(args, cfg: Config) -> int:
-    ins = parse_insertions([args.i, args.j, args.k])
-    if len(ins) != 3:
-        raise UsageError("gamma wants exactly three basis classes")
+    ins = parse_classes("gamma", [args.i, args.j, args.k])
     engine = build_engine(cfg)
     series = quantum.gamma(engine, *ins, y_truncation=cfg.y_truncation)
     entries = []
@@ -337,43 +350,43 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, help="curve class a,b,c")
     p.add_argument("--ins", required=True, nargs="+",
                    help="insertions, e.g. T4^5 T13")
-    p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("product", help="quantum product of two basis classes")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("verify", help="check the ring presentation")
     p.add_argument("--all", action="store_true")
     p.add_argument("--id", type=int, nargs="+")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hyper", help="hyperelliptic count table")
     p.add_argument("--d1", type=int, required=True)
     p.add_argument("--d2", type=int, required=True)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--gmin", type=int, default=0)
-    p.set_defaults(func=cmd_hyper)
 
     p = sub.add_parser("gamma", help="big-quantum coefficient series")
     p.add_argument("i")
     p.add_argument("j")
     p.add_argument("k")
-    p.set_defaults(func=cmd_gamma)
 
-    p = sub.add_parser("seeds-export",
-                       help="dump the explicit seed entries and the rule-derived "
-                            "seeds up to cmax")
-    p.set_defaults(func=cmd_seeds_export)
+    sub.add_parser("seeds-export",
+                   help="dump the explicit seed entries and the rule-derived "
+                        "seeds up to cmax")
 
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call, not at import (which every process
+    # start pays), and reused: parsing leaves no state in it
+    return make_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = Config(
             c_max=args.cmax,
             y_truncation=args.ytrunc,
@@ -385,7 +398,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if cfg.output_format not in formats:
             raise UsageError("%s writes --format %s, not %s"
                              % (args.command, " or ".join(formats), cfg.output_format))
-        return args.func(args, cfg)
+        # looked up at call time, so a replaced cmd_* function is the one run
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(args, cfg)
     except (UsageError, ConsistencyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

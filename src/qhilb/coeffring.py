@@ -1,7 +1,9 @@
 """Exact scalar ring Q[q1,q2][[q3]] with a hard truncation in q3.
 
-All arithmetic in this package is exact: coefficients are
-``fractions.Fraction`` throughout, there is no floating point anywhere.
+All arithmetic in this package is exact, with no floating point
+anywhere.  A coefficient is an ``int`` when it is integral and a
+``fractions.Fraction`` only when it is not, the engine's own convention;
+a series stores an integral Fraction as its int.
 A series keeps monomials q1^e1 q2^e2 q3^e3 with e3 <= c_max; products
 silently discard the part above the truncation order, which is the only
 finitary way to work in a power-series ring.  q1 and q2 are genuine
@@ -18,7 +20,7 @@ Rational = Fraction
 
 QMonomial = Tuple[int, int, int]  # exponents of (q1, q2, q3)
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 class TruncationMismatch(ValueError):
@@ -30,7 +32,8 @@ class TruncationExceeded(ValueError):
 
 
 def rat_str(x: Rational) -> str:
-    """Render ``p/q``, omitting ``/q`` when the denominator is one."""
+    """Render ``p/q``, omitting ``/q`` when the denominator is one (an int
+    or a Fraction)."""
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
@@ -53,6 +56,13 @@ def _exact_coeff(x):
     return x
 
 
+def _normal_terms(terms: Dict[QMonomial, Rational]) -> Dict[QMonomial, Rational]:
+    """The nonzero terms, each integral Fraction as its int, so equal
+    series have equal term dicts."""
+    return {m: c if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in terms.items() if c}
+
+
 def accumulate_product(acc: Dict[QMonomial, Rational], x: "QSeries", y: "QSeries") -> None:
     """Add the terms of x * y (truncated at x's c_max) into ``acc``."""
     c_max = x.c_max
@@ -71,8 +81,9 @@ class QSeries:
 
     Instances are immutable, so an operation may return one of its
     operands (``x + 0`` is ``x``).  Stored terms never have zero
-    coefficient and never exceed the truncation; coefficients are
-    Fractions, and the constructors take only ints and Fractions.
+    coefficient and never exceed the truncation; a coefficient is an int
+    when it is integral and a Fraction only when it is not, and the
+    constructors take only ints and Fractions.
     """
 
     __slots__ = ("terms", "c_max")
@@ -80,7 +91,6 @@ class QSeries:
     def __init__(self, terms: Dict[QMonomial, Rational], c_max: int):
         if c_max < 0:
             raise ValueError("c_max must be >= 0")
-        clean = {}
         for m, coeff in terms.items():
             if m[0] < 0 or m[1] < 0 or m[2] < 0:
                 raise ValueError("negative exponent in %r" % (m,))
@@ -88,17 +98,17 @@ class QSeries:
                 raise TruncationExceeded(
                     "monomial %s beyond truncation q3^%d" % (monomial_str(m), c_max)
                 )
-            if _exact_coeff(coeff):
-                clean[m] = coeff if type(coeff) is Fraction else Fraction(coeff)
-        self.terms = clean
+            _exact_coeff(coeff)
+        self.terms = _normal_terms(terms)
         self.c_max = c_max
 
     @classmethod
     def _make(cls, terms: Dict[QMonomial, Rational], c_max: int) -> "QSeries":
         """Unchecked constructor for ring-operation results: the terms are
-        Fractions within the truncation already; zeros are dropped."""
+        ints and Fractions within the truncation already; zeros are dropped
+        and integral Fractions stored as ints."""
         out = object.__new__(cls)
-        out.terms = {m: c for m, c in terms.items() if c}
+        out.terms = _normal_terms(terms)
         out.c_max = c_max
         return out
 
@@ -110,10 +120,10 @@ class QSeries:
 
     @classmethod
     def one(cls, c_max: int) -> "QSeries":
-        return cls({(0, 0, 0): Fraction(1)}, c_max)
+        return cls({(0, 0, 0): 1}, c_max)
 
     @classmethod
-    def monomial(cls, m: QMonomial, c_max: int, coeff: Rational = Fraction(1)) -> "QSeries":
+    def monomial(cls, m: QMonomial, c_max: int, coeff: Rational = 1) -> "QSeries":
         return cls({tuple(m): coeff}, c_max)
 
     @classmethod
@@ -140,10 +150,18 @@ class QSeries:
         return QSeries._make(terms, self.c_max)
 
     def __neg__(self) -> "QSeries":
+        if not self.terms:
+            return self
         return QSeries._make({m: -c for m, c in self.terms.items()}, self.c_max)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
+        self._check(other)
+        if not other.terms:
+            return self
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            terms[m] = terms.get(m, _ZERO) - c
+        return QSeries._make(terms, self.c_max)
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
@@ -227,4 +245,4 @@ class QSeries:
 def geometric_q3(c_max: int) -> QSeries:
     """q3 + q3^2 + ... + q3^c_max, the truncated tail sum over all curve
     multiples of the punctual fiber class."""
-    return QSeries({(0, 0, c): Fraction(1) for c in range(1, c_max + 1)}, c_max)
+    return QSeries({(0, 0, c): 1 for c in range(1, c_max + 1)}, c_max)

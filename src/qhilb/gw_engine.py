@@ -105,9 +105,9 @@ is always asked as "is this not an Unknown".  The public results are
 Fractions again: ``Engine.invariant``, ``wdvv_residual`` and
 ``derive_two_point_table`` convert on the way out, and the hyperelliptic
 tables are built from ``invariant``.  ``Engine.invariant_value`` hands out
-the engine's own number for basis-index insertions; the quantum product
-sums those in integers and builds its ``QSeries`` coefficients (which
-stay Fractions) once per coefficient.
+the engine's own number for a sorted tuple of basis indices; the quantum
+product sums those in integers and builds each ``QSeries`` coefficient
+once, an int when it is integral.
 
 Values and keys are immutable; all three tables follow a single-writer
 contract (concurrent reads are fine, writes must be serialized by the
@@ -921,15 +921,6 @@ class Engine:
                 total += coeff * value
         return unknown or Fraction(total)
 
-    def invariant_value(self, beta: Beta, insertions: Sequence[int]) -> Value:
-        """The invariant of the class ``beta`` with basis-index insertions,
-        as the engine keeps it: an int when it is integral, a Fraction only
-        when it is not, or an Unknown.  The arguments are not checked.
-        ``invariant`` answers an all-index query the same way and converts
-        the number to a Fraction; the quantum product reads its three-point
-        invariants here, so that it can sum them in integers."""
-        return self._invariant(beta, tuple(sorted(insertions)))
-
     def provenance_of(self, beta: Beta, insertions: Sequence[int]) -> str:
         beta = _checked_key(beta, insertions, vectors=False)
         factor, key = self._normalize(beta, tuple(sorted(insertions)))
@@ -984,6 +975,15 @@ class Engine:
                 value = _exact(factor * value)
         self.memo[raw] = value
         return value
+
+    # invariant_value(beta, ins): the invariant of the class ``beta`` with a
+    # sorted tuple of basis indices, as the engine keeps it: an int when it
+    # is integral, a Fraction only when it is not, or an Unknown.  The
+    # arguments are not checked.  ``invariant`` answers an all-index query
+    # the same way and converts the number to a Fraction; the quantum
+    # product reads its three-point invariants here, so that it can sum them
+    # in integers.
+    invariant_value = _invariant
 
     # -- interior rows ----------------------------------------------------------
 

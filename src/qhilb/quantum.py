@@ -73,6 +73,15 @@ class QCohVector:
         self.c_max = c_max
 
     @classmethod
+    def _make(cls, coords: Sequence[QSeries], c_max: int) -> "QCohVector":
+        """Unchecked constructor for ring-operation results: 14 QSeries at
+        c_max already."""
+        out = object.__new__(cls)
+        out.coords = tuple(coords)
+        out.c_max = c_max
+        return out
+
+    @classmethod
     def zero(cls, c_max: int) -> "QCohVector":
         z = QSeries.zero(c_max)
         return cls((z,) * chow.BASIS_SIZE, c_max)
@@ -87,19 +96,20 @@ class QCohVector:
     def lift(cls, x: CohVector, c_max: int) -> "QCohVector":
         return cls([QSeries.scalar(c, c_max) for c in x.coords], c_max)
 
+    # the series operations check each coordinate's c_max
     def __add__(self, other: "QCohVector") -> "QCohVector":
-        return QCohVector([a + b for a, b in zip(self.coords, other.coords)], self.c_max)
+        return QCohVector._make([a + b for a, b in zip(self.coords, other.coords)], self.c_max)
 
     def __sub__(self, other: "QCohVector") -> "QCohVector":
-        return QCohVector([a - b for a, b in zip(self.coords, other.coords)], self.c_max)
+        return QCohVector._make([a - b for a, b in zip(self.coords, other.coords)], self.c_max)
 
     def __neg__(self) -> "QCohVector":
-        return QCohVector([-a for a in self.coords], self.c_max)
+        return QCohVector._make([-a for a in self.coords], self.c_max)
 
     def scale(self, s: Union[QSeries, Rational, int]) -> "QCohVector":
         if not isinstance(s, QSeries):
             s = QSeries.scalar(s, self.c_max)
-        return QCohVector([a * s if a.terms else a for a in self.coords], self.c_max)
+        return QCohVector._make([a * s if a.terms else a for a in self.coords], self.c_max)
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.coords)
@@ -153,24 +163,25 @@ class SmallQuantum:
         terms: List[Dict] = [{(0, 0, 0): c} for c in chow.cup_basis(i, j).coords]
         if i != 0 and j != 0:
             # sums of <Ti Tj Te>_beta * D g^{ef} in the engine's own numbers
-            # (ints where integral), divided by D once per coefficient; the
-            # cup product sits at q^0, which no nonzero class reaches
+            # (ints where integral), divided by D once per coefficient, to an
+            # int where D divides the sum; the cup product sits at q^0, which
+            # no nonzero class reaches
             denom, groups = scaled_dual_groups()
             sums: List[Dict] = [{} for _ in terms]
             value_of = self.engine.invariant_value
             for e, fws in groups:
-                for beta in dimension_classes((i, j, e), c_max):
-                    value = value_of(beta, (i, j, e))
+                ins = tuple(sorted((i, j, e)))
+                for beta, q in _classes(ins, c_max):
+                    value = value_of(beta, ins)
                     if isinstance(value, Unknown):
                         raise MissingInvariant(beta, (i, j, e), value.reason)
                     if value == 0:
                         continue
-                    q = q_of_beta(beta)
                     for f, w in fws:
                         sums[f][q] = sums[f].get(q, 0) + value * w
             for term, scaled in zip(terms, sums):
                 for q, s in scaled.items():
-                    term[q] = Fraction(s, denom)
+                    term[q] = s // denom if s % denom == 0 else Fraction(s, denom)
         result = QCohVector([QSeries(t, c_max) for t in terms], c_max)
         self._table[(i, j)] = result
         return result
@@ -194,14 +205,26 @@ class SmallQuantum:
                 for terms, t in zip(acc, entry.coords):
                     if t.terms:
                         accumulate_product(terms, t, w)
-        return QCohVector([QSeries._make(t, self.c_max) for t in acc], self.c_max)
+        return QCohVector._make([QSeries._make(t, self.c_max) for t in acc], self.c_max)
 
     def product(self, x: QCohVector, y: QCohVector) -> QCohVector:
         return self._bilinear(x, y, self.basis_product)
 
     def cup(self, x: QCohVector, y: QCohVector) -> QCohVector:
-        return self._bilinear(
-            x, y, lambda i, j: QCohVector.lift(chow.cup_basis(i, j), self.c_max))
+        c_max = self.c_max
+        return self._bilinear(x, y, lambda i, j: _lifted_cup(i, j, c_max))
+
+
+@lru_cache(maxsize=None)
+def _classes(ins: Tuple[int, ...], c_max: int) -> Tuple[Tuple[Beta, Tuple[int, int, int]], ...]:
+    """(beta, q_of_beta(beta)) for each class of ``dimension_classes``, in
+    its order."""
+    return tuple((beta, q_of_beta(beta)) for beta in dimension_classes(ins, c_max))
+
+
+@lru_cache(maxsize=None)
+def _lifted_cup(i: int, j: int, c_max: int) -> QCohVector:
+    return QCohVector.lift(chow.cup_basis(i, j), c_max)
 
 
 def small_product(engine: Engine, i: int, j: int) -> QCohVector:
@@ -392,7 +415,7 @@ class _Evaluator:
             return QCohVector.basis(node[1], self.c_max)
         if kind == "neg":
             val = self.eval(node[1])
-            return -val if isinstance(val, QCohVector) else val.scale(Fraction(-1))
+            return -val
         if kind == "pow":
             base = self.eval(node[1])
             if isinstance(base, QCohVector):

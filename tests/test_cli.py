@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhilb import cli
 from qhilb.cli import main, render_json
 from qhilb.gw_engine import dimension_check
 
@@ -118,6 +119,30 @@ def test_product_t1_t3(capsys):
     code, out, _ = run(capsys, "--cmax", "2", "product", "T1", "T3")
     assert code == 0
     assert out.strip() == "T1*T3 = 2 q1 q3 T0 + T8"
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (("product", "T4^2", "T0^0"), "T4^2"),    # was T4*T4, from the expanded list
+    (("product", "T4", "T0^0"), "T0^0"),
+    (("product", "T4", "T4 T5"), "T4 T5"),
+    (("product", "T4^0", "T4^2"), "T4^0"),
+    (("gamma", "T4^2", "T5", "T0^0"), "T4^2"),  # was gamma(T4, T4, T5)
+    (("gamma", "T3", "T3 T8", ""), "T3 T8"),
+    (("gamma", "T3", "T3", "T8^0"), "T8^0"),
+])
+def test_positional_classes_are_one_class_each(capsys, argv, bad):
+    # each positional of product and gamma names exactly one basis class;
+    # powers are not expanded across them
+    code, out, err = run(capsys, "--cmax", "1", *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: %s wants one basis class per argument, got %r\n" % (argv[0], bad)
+
+
+def test_positional_class_with_power_one(capsys):
+    assert run(capsys, "--cmax", "2", "product", "T1^1", "3") == run(
+        capsys, "--cmax", "2", "product", "T1", "T3")
+    assert run(capsys, "--cmax", "1", "gamma", "3", "T3^1", "T8") == run(
+        capsys, "--cmax", "1", "gamma", "T3", "T3", "T8")
 
 
 _ALL_PASS_C0 = ("".join("relation %2d: pass\n" % i for i in range(1, 18))
@@ -317,6 +342,61 @@ def test_format_the_command_does_not_write_exits_1(capsys, argv, fmt, ok):
         assert (code, out) == (1, "")
         assert err == "error: %s writes --format %s, not %s\n" % (
             argv[0], " or ".join(formats), fmt)
+
+
+# -- one parser per process ---------------------------------------------------------
+
+# consecutive runs whose options differ, so that a value one run set and
+# the next leaves out would show
+_SEQUENCE = [
+    ("--cmax", "1", "--trace", "invariant", "--beta", "1,0,1", "--ins", "T13"),
+    ("--cmax", "1", "invariant", "--beta", "1,0,1", "--ins", "T13"),
+    ("--cmax", "1", "--format", "json", "invariant", "--beta", "1,0,1", "--ins", "T13"),
+    ("--cmax", "1", "--format", "json", "verify", "--id", "2", "3"),
+    ("--cmax", "1", "verify", "--id", "1"),
+    ("--cmax", "1", "verify", "--all"),
+    ("--cmax", "1", "verify"),
+    ("--cmax", "1", "--format", "json", "product", "T1", "T3"),
+    ("--cmax", "0", "product", "T1", "T3"),
+    ("--cmax", "0", "--ytrunc", "0", "gamma", "T3", "T3", "T8"),
+    ("--cmax", "0", "--format", "csv", "product", "T1", "T3"),
+    ("--cmax", "0", "product", "T1"),
+    ("--cmax", "0", "seeds-export"),
+]
+
+
+def _run_all(sequence):
+    results = []
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        results.append((code, out.getvalue(), err.getvalue()))
+    return results
+
+
+def test_consecutive_runs_match_fresh_parsers(monkeypatch):
+    monkeypatch.delenv("QHILB_SEEDS", raising=False)
+    shared = _run_all(_SEQUENCE)
+    with mock.patch.object(cli, "_parser", cli.make_parser):
+        fresh = _run_all(_SEQUENCE)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0] * 6 + [1, 0, 0, 0, 1, 1, 0]
+
+
+def test_parser_built_once_and_commands_looked_up_per_run(monkeypatch, capsys):
+    built = []
+    make = cli.make_parser
+    monkeypatch.setattr(cli, "make_parser", lambda: built.append(1) or make())
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "--cmax", "0", "product", "T1", "T3")[0] == 0
+        # a replaced command (or build_engine) takes effect in the next run
+        monkeypatch.setattr(cli, "cmd_product", lambda args, cfg: print("patched") or 0)
+        assert run(capsys, "--cmax", "0", "product", "T1", "T3") == (0, "patched\n", "")
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 # -- fuzz over argv ---------------------------------------------------------------

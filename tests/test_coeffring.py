@@ -9,10 +9,13 @@ from qhilb.coeffring import (
     QSeries,
     TruncationExceeded,
     TruncationMismatch,
+    accumulate_product,
     geometric_q3,
     monomial_str,
     rat_str,
 )
+from reference_coeffring import RefSeries
+from reference_coeffring import accumulate_product as reference_accumulate
 
 C_MAX = 4
 
@@ -102,14 +105,59 @@ def test_inexact_coefficients_refused(make, bad):
         make(bad)
 
 
+def stored_form_faults(s):
+    """The stored terms that break the form every series keeps: no zero,
+    only ints and Fractions, and no Fraction with denominator 1."""
+    return {m: c for m, c in s.terms.items()
+            if not c or not (type(c) is int or type(c) is Fraction and c.denominator != 1)}
+
+
 def test_operations_keep_exact_coefficients():
-    x = QSeries({(0, 0, 0): 2, (1, 0, 1): Fraction(1, 3)}, 2)
-    assert all(type(c) is Fraction for c in x.terms.values())
-    assert x.scale(0).is_zero() and (x * Fraction(3)).coeff((1, 0, 1)) == 1
+    # an integral coefficient is stored as an int, also where it comes in as
+    # a Fraction or an operation on Fractions makes it; a Fraction only
+    # where it is not integral
+    x = QSeries({(0, 0, 0): Fraction(4, 2), (1, 0, 1): Fraction(1, 3)}, 2)
+    assert x.terms == {(0, 0, 0): 2, (1, 0, 1): Fraction(1, 3)}
+    assert type(x.terms[(0, 0, 0)]) is int
+    tripled = x * Fraction(3)
+    assert tripled.terms == {(0, 0, 0): 6, (1, 0, 1): 1}
+    for s in (x, tripled, x + x, x - tripled, -x, x * x, x.scale(Fraction(3, 2)),
+              QSeries.one(2), QSeries.monomial((1, 0, 1), 2), geometric_q3(2)):
+        assert stored_form_faults(s) == {}, s
+    assert x.scale(0).is_zero() and (x - x).terms == {}
     # an operand can be returned as it is
-    assert x + QSeries.zero(2) is x and QSeries.zero(2) + x is x
-    with pytest.raises(TruncationMismatch):
-        QSeries.zero(2) + QSeries.zero(3)
+    zero = QSeries.zero(2)
+    assert x + zero is x and zero + x is x and x - zero is x and -zero is zero
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TruncationMismatch):
+            op(zero, QSeries.zero(3))
+
+
+# mixed coefficients: ints, Fractions that are not integral and Fractions
+# that are, which every series must store as ints
+mixed_coeffs = st.one_of(st.integers(-4, 4),
+                         st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4)),
+                         st.integers(-3, 3).map(lambda n: Fraction(2 * n, 2)))
+mixed_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                        st.integers(0, C_MAX)), mixed_coeffs, max_size=4)
+
+
+@given(mixed_terms, mixed_terms, mixed_terms, mixed_coeffs)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_mixed_coefficients_match_fraction_reference(tx, ty, acc, k):
+    x, y = QSeries(tx, C_MAX), QSeries(ty, C_MAX)
+    rx, ry = RefSeries(tx, C_MAX), RefSeries(ty, C_MAX)
+    pairs = [(x, rx), (y, ry), (x + y, rx + ry), (x - y, rx - ry), (-x, -rx),
+             (x * y, rx * ry), (x.scale(k), rx.scale(k)), (x * k, rx * k),
+             ((x * y - x) * (y + x.scale(k)), (rx * ry - rx) * (ry + rx.scale(k)))]
+    for new, ref in pairs:
+        assert new.terms == ref.terms and new.c_max == ref.c_max
+        assert str(new) == str(ref)
+        assert stored_form_faults(new) == {}, new
+    new_acc, ref_acc = dict(acc), dict(acc)
+    accumulate_product(new_acc, x, y)
+    reference_accumulate(ref_acc, rx, ry)
+    assert new_acc == ref_acc
 
 
 # -- ring axioms as property tests -------------------------------------------

@@ -1,7 +1,8 @@
 """Every name a qhilb module imports is used there or re-exported, every
-private module-level name it defines is read there, the engine never
-tests a value with ``isinstance(..., Fraction)``, importing the CLI
-stays cheap, and every name the benchmark's tracer wraps exists."""
+private module-level name it defines is read there, the engine and the
+series layer never test a value with ``isinstance(..., Fraction)``,
+importing the CLI stays cheap, and every name the benchmark's tracer
+wraps exists."""
 
 import ast
 import importlib
@@ -92,11 +93,12 @@ def fraction_type_tests(tree: ast.Module):
     return sorted(found)
 
 
-@pytest.mark.parametrize("path", [SRC / "gw_engine.py", TESTS / "reference_wdvv.py"],
+@pytest.mark.parametrize("path", [SRC / "gw_engine.py", SRC / "coeffring.py", SRC / "quantum.py",
+                                  TESTS / "reference_wdvv.py"],
                          ids=lambda p: p.name)
 def test_no_fraction_type_tests(path):
-    # integral values are ints there, so such a test skips them: test
-    # against Unknown instead
+    # integral values (engine values, series coefficients) are ints there,
+    # so such a test skips them: test against Unknown instead
     assert fraction_type_tests(ast.parse(path.read_text())) == []
 
 

@@ -228,8 +228,9 @@ def test_basis_products_match_frozen_golden(engine):
 
 def test_basis_product_fraction_constructions_pinned(fraction_count):
     # the product sums its invariants in integers (weights D g^{ef}) and
-    # builds each quantum coefficient once (1,004 of the count); QSeries
-    # keeps those Fractions as they are, and the integral fibre-class seeds
+    # builds each quantum coefficient once, a Fraction only where D does not
+    # divide the sum: 1,031 -> 51 once integral coefficients became ints
+    # (1,004 of the 1,031 were coefficients); the integral fibre-class seeds
     # are ints (1,087 while they were Fractions, 1,088 once interior rows
     # were looked up whole, 1,068 while the solver's rows were dense lists,
     # whose row operations built two Fractions for each zero entry that a
@@ -242,7 +243,7 @@ def test_basis_product_fraction_constructions_pinned(fraction_count):
 
     all_products()  # fill the module caches
     _, calls = fraction_count(all_products)
-    assert calls == 1031  # 11,465 when basis_product summed Fractions
+    assert calls == 51  # 11,465 when basis_product summed Fractions
 
 
 # -- relations ---------------------------------------------------------------------
