@@ -20,13 +20,14 @@ a reason, never silently zeroed.  The optional bidegree-vanishing rule
 (off by default) seeds those powers with zero for small bidegrees, where
 no curve of the corresponding type exists.
 
-The engine keeps two public tables.  ``memo`` maps a key (class, insertion
-tuple) to its value, both for keys as asked (in any order, divisors
-included) and for the normalized keys the recursion reduces; a normalized
-key normalizes to itself with factor 1, so the two kinds agree wherever
-they meet.  ``origin`` maps a derived normalized key to a note saying
-how it was obtained (the two-point solver, or the associativity instance
-that determined it); seed values need no entry.
+The engine keeps two public tables.  ``memo`` maps a normalized key
+(class, sorted insertion tuple, as ``_normalize`` returns it) to its
+value; a query in any order, divisors included, is normalized first and
+scales the normalized key's value by the divisor factor, and a key an
+axiom kills is 0 without a memo entry.  ``origin`` maps a derived
+normalized key to a note saying how it was obtained (the two-point
+solver, or the associativity instance that determined it); seed values
+need no entry.
 
 Every invariant is fixed by the involution that swaps the two factors,
 <gamma>_(a,b,c) = <iota gamma>_(b,a,c).  The seeds and the two-point
@@ -45,13 +46,13 @@ in t order and stores the nonzero and Unknown ones as a dict t -> value.
 No memo value changes once written (the two-point solver stores only keys
 the memo lacked, or a mirror's equal value, and solves a class after its
 proper sub-classes, so no solve is re-entered), so a stored row stays
-equal to what its lookups would return.  Rows are keyed in raw order
-because the divisor axiom strips divisors in the tuple's order: two
-orders of the same insertions can normalize to different keys, with
-different Unknown reasons.  Each side of a sum (one split and partition,
-one corner pairing) contracts its e-row and f-row in one (e, f) loop in
-integers, D times the inverse pairing, and each instance divides its
-interior sum by D once.
+equal to what its lookups would return.  Rows are the one table keyed
+in raw order, because the divisor axiom strips divisors in the tuple's
+order: two orders of the same insertions can normalize to different
+keys, with different Unknown reasons.  Each side of a sum (one split
+and partition, one corner pairing) contracts its e-row and f-row in one
+(e, f) loop in integers, D times the inverse pairing, and each instance
+divides its interior sum by D once.
 
 A row is dead when every entry is an exact zero: it is stored as the
 empty row, or the fundamental-class, dimension or divisor axiom zeroes
@@ -72,7 +73,7 @@ first such term in (e, f) order, and the earliest (e, f, side) of the
 split and partition wins, the (ij|kl) side first.  That is the Unknown a
 loop over every (e, f) would meet first, so values, every Unknown reason
 and ``wdvv_residual`` are the same as when every side is evaluated.  What
-changes is the work: the memo holds other raw keys, fewer associativity
+changes is the work: the memo holds fewer keys, fewer associativity
 instances are built (``stats``, ``trace_log``), the mirror that is derived
 first can change (so can ``origin`` notes on mirrored keys and
 ``solver_instances``), and on a warm engine ``wdvv_instance`` can keep
@@ -117,6 +118,7 @@ caller).  Everything here is deterministic and single-threaded by default.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -535,6 +537,10 @@ _CIT_BIDEGREE = "bidegree vanishing: no curves below the first admissible bidegr
 _CIT_DRESSED = "divisor dressing of: "
 
 
+# a seed value as ``_seed_line`` writes it: an int or p/q, in decimal digits
+_SEED_NUMBER = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _seed_line(key: Key, entry: Tuple[Value, str]) -> str:
     """One "a,b,c | i1 i2 ... | p/q | citation" line, as load_overrides reads."""
     (a, b, c), ins = key
@@ -606,8 +612,10 @@ class SeedTable:
 
     def load_overrides(self, lines: Iterable[str]) -> int:
         """Load "a,b,c | i1 i2 ... | p/q | citation" lines; returns count.
-        A malformed or conflicting line raises UsageError naming it, and
-        so does a bare string (it would be read one character a line)."""
+        A value is an int or p/q in decimal digits, as ``export_lines``
+        writes it.  A malformed or conflicting line raises UsageError
+        naming it, and so does a bare string (it would be read one
+        character a line)."""
         if isinstance(lines, str):
             raise UsageError("seed overrides want a collection of lines, got %r" % (lines,))
         n = 0
@@ -621,6 +629,8 @@ class SeedTable:
             try:
                 beta = tuple(int(t) for t in parts[0].split(","))
                 ins = tuple(int(t.lstrip("T")) for t in parts[1].split())
+                if not _SEED_NUMBER.fullmatch(parts[2]):
+                    raise ValueError(parts[2])
                 value = Fraction(parts[2])
             except (ValueError, ZeroDivisionError):
                 raise UsageError("bad number in seed line: %r" % raw) from None
@@ -960,29 +970,22 @@ class Engine:
         return factor, (beta, plan[2])
 
     def _invariant(self, beta: Beta, ins: Insertions) -> Value:
-        raw = (beta, ins)
-        hit = self.memo.get(raw)
-        if hit is not None:
-            return hit
         factor, key = self._normalize(beta, ins)
         if key is None:
-            value: Value = 0
-        else:
-            value = self.memo.get(key)
-            if value is None:
-                value = self.memo[key] = _exact(self._reduce_key(key, _Context()).value())
-            if not isinstance(value, Unknown):
-                value = _exact(factor * value)
-        self.memo[raw] = value
-        return value
+            return 0
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = _exact(self._reduce_key(key, _Context()).value())
+        return value if isinstance(value, Unknown) else _exact(factor * value)
 
     # invariant_value(beta, ins): the invariant of the class ``beta`` with a
-    # sorted tuple of basis indices, as the engine keeps it: an int when it
-    # is integral, a Fraction only when it is not, or an Unknown.  The
-    # arguments are not checked.  ``invariant`` answers an all-index query
-    # the same way and converts the number to a Fraction; the quantum
-    # product reads its three-point invariants here, so that it can sum them
-    # in integers.
+    # tuple of basis indices, as the engine keeps it: an int when it is
+    # integral, a Fraction only when it is not, or an Unknown.  The
+    # arguments are not checked.  The axioms come first, so the memo is
+    # read and written under the normalized key only.  ``invariant``
+    # answers an all-index query the same way and converts the number to a
+    # Fraction; the quantum product reads its three-point invariants here,
+    # so that it can sum them in integers.
     invariant_value = _invariant
 
     # -- interior rows ----------------------------------------------------------
@@ -1163,10 +1166,7 @@ class Engine:
         if t_c == 0:
             raise ConsistencyError(
                 "instance for %r does not contain its target (case %s)" % (key, label))
-        # rel = t_c <key> + rest, so <key> = -rest / t_c; t_c is -1 in most
-        # reductions, and rel is fresh, so it is returned as it is
-        if t_c == -1:
-            return rel, record
+        # rel = t_c <key> + rest, so <key> = -rest / t_c
         return LinExpr(_quotient(-rel.const, t_c),
                        {k: _quotient(-v, t_c) for k, v in rel.coeffs.items()}), record
 

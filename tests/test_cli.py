@@ -208,6 +208,20 @@ def test_seed_file_faults_exit_cleanly(capsys, tmp_path, text, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("invariant", "--beta", "1,0,1", "--ins", "T13"),
+    ("seeds-export",),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("value", ["1e5000", "0.5"])
+def test_seed_value_with_exponent_or_point_exits_cleanly(capsys, tmp_path, argv, value):
+    # 1e5000 used to end in a traceback when the value was printed
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("1,0,1 | 13 | %s | x\n" % value)
+    code, out, err = run(capsys, "--cmax", "1", "--seeds", str(seeds), *argv)
+    assert (code, out) == (1, "")
+    assert "bad number in seed line" in err and "Traceback" not in err
+
+
 # -- hyper -----------------------------------------------------------------------
 
 def test_hyper_csv(capsys):

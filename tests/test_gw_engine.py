@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from qhilb.chow import (
     CohVector,
     UsageError,
     cup_basis,
+    divisor_degree,
     dual_groups,
     pairing,
     scaled_dual_groups,
@@ -45,6 +48,7 @@ from qhilb.gw_engine import (
     val_mul,
 )
 from qhilb.hyperelliptic import HyperellipticQuery, count_table, forward_invariants
+from qhilb.quantum import SmallQuantum, verify_all
 
 DATA = Path(__file__).parent / "data"
 
@@ -520,6 +524,62 @@ def test_answers_do_not_depend_on_query_order():
         assert eng.stats["involution_hits"] > 0
 
 
+def _query_stream(seed, fresh):
+    """A derandomized stream of (class, insertions) queries at c_max 2:
+    ``fresh`` dimension-consistent keys with a + b <= 2 and one to five
+    insertions from T1..T13 (divisors included), ten more that a
+    degree-0 divisor kills and the pure T4^5 powers, which stay Unknown,
+    each in a shuffled order; one in eight gets T0 added and one in eight
+    an insertion moved off the dimension axiom, and every third is
+    followed by a permuted re-ask of an earlier query."""
+    rng = random.Random(seed)
+    classes = [(a, b, c) for a in range(3) for b in range(3 - a) for c in range(3)
+               if (a, b, c) != (0, 0, 0)]
+    pool = [(beta, ins) for beta in classes for n in range(1, 6)
+            for ins in itertools.combinations_with_replacement(range(1, 14), n)
+            if dimension_check(beta, ins)]
+    keys = rng.sample(pool, fresh)
+    keys += rng.sample([(beta, ins) for beta, ins in pool if len(ins) >= 3
+                        and any(CODIM[i] == 1 and not divisor_degree(i, beta)
+                                for i in ins[:len(ins) - 2])], 10)
+    keys += [(beta, (4,) * 5) for beta in classes if beta[0] + beta[1] == 2]
+    rng.shuffle(keys)
+    stream = []
+    for n, (beta, ins) in enumerate(keys):
+        ins = list(ins)
+        if n % 8 == 3:
+            ins.append(0)
+        elif n % 8 == 5:
+            ins[0] = 13 if CODIM[ins[0]] != 4 else 1
+        rng.shuffle(ins)
+        stream.append((beta, ins))
+        if n % 3 == 2:
+            beta, ins = stream[rng.randrange(len(stream))]
+            stream.append((beta, rng.sample(ins, len(ins))))
+    return stream
+
+
+def test_memo_holds_normalized_keys_only():
+    # a query is stored under its normalized key only, never as asked, and
+    # a key an axiom kills is stored under no key
+    stream = _query_stream(17, 160)
+    eng = Engine(c_max=2)
+    answers = [eng.invariant(beta, ins) for beta, ins in stream]
+    assert sum(isinstance(v, Unknown) for v in answers) >= 6  # the T4^5 powers
+    assert sum(not dimension_check(beta, ins) or 0 in ins for beta, ins in stream) >= 30
+    assert eng.memo
+    for key in eng.memo:
+        assert eng._normalize(*key) == (1, key), key
+    # asking again, in another order and with the insertions permuted,
+    # gives the same answers and stores nothing new
+    size = len(eng.memo)
+    rng = random.Random(18)
+    for n in rng.sample(range(len(stream)), len(stream)):
+        beta, ins = stream[n]
+        assert eng.invariant(beta, rng.sample(ins, len(ins))) == answers[n], stream[n]
+    assert len(eng.memo) == size
+
+
 # -- seed table mechanics ----------------------------------------------------------
 
 @pytest.mark.parametrize("vanishing", [False, True])
@@ -670,6 +730,27 @@ def test_seed_overrides_refuse_a_bare_string():
     assert Engine(c_max=1, seed_overrides=["1,0,1 | 13 | 2 | x"]).invariant((1, 0, 1), [13]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "1e5000",  # str() of the value would pass Python's 4,300-digit limit
+    "1e10000000",  # Fraction alone takes seconds
+    "0.5", "2.", "1E0", "-1e-3", "inf", "nan", "1_0", "\u0663", "1/2/3", "1/-2", "/2", "",
+])
+def test_seed_overrides_refuse_other_number_forms(text):
+    # a seed value is an int or p/q in decimal digits, as export writes it
+    table = SeedTable()
+    with pytest.raises(UsageError, match="bad number in seed line"):
+        table.load_overrides(["1,0,1 | 13 | %s | x" % text])
+    assert table.explicit == {}
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2", 2), ("+2", 2), ("-7/3", Fraction(-7, 3)), ("4/2", 2), ("007", 7)])
+def test_seed_overrides_read_export_number_forms(text, value):
+    table = SeedTable()
+    assert table.load_overrides(["3,2,2 | %s | %s | x" % (" ".join(["4"] * 11), text)]) == 1
+    assert table.explicit[((3, 2, 2), (4,) * 11)] == (value, "x")
+
+
 def test_provenance_strings(engine):
     engine.invariant((1, 0, 1), [13])
     note = engine.provenance_of((1, 0, 1), (13,))
@@ -737,11 +818,13 @@ def test_normal_plan_cached_per_raw_tuple(cold_caches):
     # (310, 1193) while each row the table lacked was judged at its class;
     # the row masks read the plan of every t once per (x, y, P, codim,
     # a+b), also for tuples no lookup of the query reaches (more misses),
-    # instead of once per row judged (fewer hits)
+    # instead of once per row judged (fewer hits); (493, 809) while a key
+    # looked up as asked was stored in the memo too, so a repeated raw
+    # lookup skipped the axioms
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
     info = _normal_plan.cache_info()
-    assert (info.misses, info.hits) == (493, 809)
+    assert (info.misses, info.hits) == (493, 810)
 
 
 def test_add_scaled_accumulates_in_place():
@@ -996,3 +1079,20 @@ def test_trace_records():
     eng.invariant((1, 1, 2), [4, 4, 13])
     assert eng.trace_log
     assert any("corners" in rec.describe() for rec in eng.trace_log)
+
+
+# -- lifetime ----------------------------------------------------------------------
+
+def test_discarded_engine_is_freed():
+    # nothing the engine, the quantum product or the count tables cache at
+    # module level keeps an engine alive once its caller drops it
+    eng = Engine(c_max=2)
+    for beta, ins in _query_stream(19, 40):
+        eng.invariant(beta, ins)
+    SmallQuantum(eng).basis_product(4, 4)
+    verify_all(eng)
+    count_table(HyperellipticQuery(1, 1, l=1), eng)
+    ref = weakref.ref(eng)
+    del eng
+    gc.collect()
+    assert ref() is None

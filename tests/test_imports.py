@@ -1,8 +1,8 @@
 """Every name a qhilb module imports is used there or re-exported, every
 private module-level name it defines is read there, the engine and the
-series layer never test a value with ``isinstance(..., Fraction)``,
-importing the CLI stays cheap, and every name the benchmark's tracer
-wraps exists."""
+series layer never test a value with ``isinstance(..., Fraction)``, no
+method is wrapped in a functools cache, importing the CLI stays cheap,
+and every name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -106,6 +106,41 @@ def test_fraction_type_test_is_found():
     tree = ast.parse("isinstance(x, Fraction)\nisinstance(y, (int, fractions.Fraction))\n"
                      "isinstance(z, Unknown)\ntype(w) is Fraction\n")
     assert fraction_type_tests(tree) == [1, 2]
+
+
+def _is_functools_cache(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+            or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"))
+
+
+def method_caches(tree: ast.Module):
+    """Lines of the functions defined in a class body that are decorated
+    with ``lru_cache`` or ``cache``, bare, called or as a ``functools``
+    attribute."""
+    return sorted(node.lineno for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(_is_functools_cache(d) for d in node.decorator_list))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_method_caches(path):
+    # such a cache keys on self, so it keeps every instance it has seen
+    # (every Engine, with its memo) alive for the life of the process
+    assert method_caches(ast.parse(path.read_text())) == []
+
+
+def test_method_cache_is_found():
+    tree = ast.parse("class A:\n"
+                     "    @lru_cache(maxsize=None)\n    def f(self): pass\n"
+                     "    @functools.cache\n    def g(self): pass\n"
+                     "    @staticmethod\n    @functools.lru_cache\n    def h(): pass\n"
+                     "    @property\n    def p(self): pass\n"
+                     "    class B:\n        @cache\n        def i(self): pass\n"
+                     "@lru_cache(maxsize=None)\ndef m(): pass\n")
+    assert method_caches(tree) == [3, 5, 8, 13]
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

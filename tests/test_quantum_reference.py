@@ -75,15 +75,17 @@ def test_bilinear_asks_for_pairs_that_truncate_to_zero(ring):
 
 
 # fresh engine per truncation order: (wdvv_instances, solver_instances,
-# involution_hits, memo entries) once every relation has been checked
+# involution_hits, memo entries) once every relation has been checked.  The
+# memo holds normalized keys only (273, 652, 1077, 1502, 1957, 2400 and
+# 2843 entries while each key as asked was stored too)
 @pytest.mark.parametrize("c_max, work", [
-    (0, (83, 57, 30, 273)),
-    (1, (157, 99, 61, 652)),
-    (2, (250, 156, 92, 1077)),
-    (3, (297, 186, 103, 1502)),
-    (4, (349, 216, 114, 1957)),
-    (5, (399, 246, 125, 2400)),
-    (6, (449, 276, 136, 2843)),
+    (0, (83, 57, 30, 114)),
+    (1, (157, 99, 61, 251)),
+    (2, (250, 156, 92, 396)),
+    (3, (297, 186, 103, 519)),
+    (4, (349, 216, 114, 651)),
+    (5, (399, 246, 125, 785)),
+    (6, (449, 276, 136, 919)),
 ])
 def test_verify_all_residuals_and_engine_work_pinned(c_max, work):
     # the product derives the same keys, so the engine does the same work
