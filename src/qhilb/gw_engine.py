@@ -72,12 +72,22 @@ or by another Unknown makes the instance Unknown: each side reports its
 first such term in (e, f) order, and the earliest (e, f, side) of the
 split and partition wins, the (ij|kl) side first.  That is the Unknown a
 loop over every (e, f) would meet first, so values, every Unknown reason
-and ``wdvv_residual`` are the same as when every side is evaluated.  What
-changes is the work: the memo holds fewer keys, fewer associativity
-instances are built (``stats``, ``trace_log``), the mirror that is derived
-first can change (so can ``origin`` notes on mirrored keys and
-``solver_instances``), and on a warm engine ``wdvv_instance`` can keep
-other two-point keys open.
+and ``wdvv_residual`` are the same as when every side is evaluated.
+
+Keys of one or two insertions follow one contract.  By the dimension
+axiom a two-point key has a+b <= 2 and a one-point key a+b <= 1.  One
+rule, ``_open_two_point``, says which of them stay symbolic: those
+neither derived (each derived one has an ``origin`` note) nor seeded.
+The two-point solver takes its unknowns by that rule, and
+``wdvv_instance`` keeps the keys it picks open, so a symbolic reduction
+finds every other such key in the memo or the seeds.  A numeric
+reduction that misses the memo on an unseeded one at a class with
+c <= c_max first solves that class's whole two-point table
+(``_ensure_two_point``), once, after the tables of all its proper
+sub-classes; a solve's interior rows sit at proper sub-classes, so no
+solve is re-entered.  A one-point key is never solved for, so an
+unseeded one (a seed rule disabled) is Unknown, "not determined by the
+shipped seeds"; a key at c > c_max is Unknown, "exceeds c_max".
 
 The four boundary terms of an associativity instance are compiled once
 per (corners, extra) shape by the cached ``_boundary_terms``: the cup
@@ -537,8 +547,10 @@ _CIT_BIDEGREE = "bidegree vanishing: no curves below the first admissible bidegr
 _CIT_DRESSED = "divisor dressing of: "
 
 
-# a seed value as ``_seed_line`` writes it: an int or p/q, in decimal digits
+# a seed value, and a class component or basis index (after one optional
+# T), as ``_seed_line`` writes them: in decimal digits only
 _SEED_NUMBER = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_SEED_DIGITS = re.compile(r"[0-9]+")
 
 
 def _seed_line(key: Key, entry: Tuple[Value, str]) -> str:
@@ -612,10 +624,11 @@ class SeedTable:
 
     def load_overrides(self, lines: Iterable[str]) -> int:
         """Load "a,b,c | i1 i2 ... | p/q | citation" lines; returns count.
-        A value is an int or p/q in decimal digits, as ``export_lines``
-        writes it.  A malformed or conflicting line raises UsageError
-        naming it, and so does a bare string (it would be read one
-        character a line)."""
+        A class component is decimal digits, an index decimal digits after
+        an optional T, and a value an int or p/q in decimal digits, as
+        ``export_lines`` writes them.  A malformed or conflicting line
+        raises UsageError naming it, and so does a bare string (it would be
+        read one character a line)."""
         if isinstance(lines, str):
             raise UsageError("seed overrides want a collection of lines, got %r" % (lines,))
         n = 0
@@ -627,10 +640,13 @@ class SeedTable:
             if len(parts) != 4:
                 raise UsageError("bad seed line: %r" % raw)
             try:
-                beta = tuple(int(t) for t in parts[0].split(","))
-                ins = tuple(int(t.lstrip("T")) for t in parts[1].split())
-                if not _SEED_NUMBER.fullmatch(parts[2]):
-                    raise ValueError(parts[2])
+                components = [t.strip() for t in parts[0].split(",")]
+                indices = [t.removeprefix("T") for t in parts[1].split()]
+                if not (all(map(_SEED_DIGITS.fullmatch, components + indices))
+                        and _SEED_NUMBER.fullmatch(parts[2])):
+                    raise ValueError(raw)
+                beta = tuple(map(int, components))
+                ins = tuple(map(int, indices))
                 value = Fraction(parts[2])
             except (ValueError, ZeroDivisionError):
                 raise UsageError("bad number in seed line: %r" % raw) from None
@@ -905,7 +921,6 @@ class Engine:
         self.origin: Dict[Key, str] = {}
         self._rows: Dict[tuple, _Row] = {}
         self._solved_betas = set()
-        self._solving = set()
         self.stats = {"wdvv_instances": 0, "solver_instances": 0, "involution_hits": 0}
         self.tracing = False
         self.trace_log: List[InstanceRecord] = []
@@ -1045,7 +1060,7 @@ class Engine:
                 "requires <T4^%d>_(%d,%d,%d) seed; pure incidence-class powers "
                 "beyond exponent three are not derivable here" % (len(ins), *beta)))
         elif len(ins) <= 2:
-            expr = self._two_point_expr(key, ctx)
+            expr = self._two_point_expr(key)
         else:
             expr, record = self._reduce_by_wdvv(key, ctx)
         if ctx.open_rule is not None:
@@ -1057,16 +1072,17 @@ class Engine:
                 self.origin[key] = "WDVV " + record.instance()
         return expr
 
-    def _two_point_expr(self, key: Key, ctx: "_Context") -> LinExpr:
+    def _two_point_expr(self, key: Key) -> LinExpr:
+        """An unseeded key of one or two insertions that missed the memo;
+        only a numeric reduction meets one (see the two-point contract in
+        the module docstring)."""
         beta, ins = key
-        a, b, c = beta
-        if a + b <= 2 and c > self.c_max:
+        if beta[2] > self.c_max:
             return LinExpr(poison=Unknown("exceeds c_max=%d at %r" % (self.c_max, (beta,))))
-        if a + b <= 2 and ctx.open_rule is None:
-            self._ensure_two_point(beta)
-            stored = self.memo.get(key)
-            if stored is not None:
-                return LinExpr.of_value(stored)
+        self._ensure_two_point(beta)
+        stored = self.memo.get(key)
+        if stored is not None:
+            return LinExpr.of_value(stored)
         reason = "two-point invariant <%s>_%r not determined by the shipped seeds" % (
             " ".join(chow.BASIS_NAMES[i] for i in ins), (beta,))
         return LinExpr(poison=Unknown(reason))
@@ -1130,12 +1146,12 @@ class Engine:
             corners = (gammas[0], gammas[1], alpha, alpha1)
             extra = tuple(gammas[2:-1])
             label = "divisor-subring reduction"
-        elif m == 1 and len(gammas) >= 2:
+        elif len(gammas) >= 2:  # m >= 1
             _, alpha, alpha1 = FACTORIZATIONS[gammas[-1]]
             corners = (4, gammas[0], alpha, alpha1)
-            extra = tuple(gammas[1:-1])
-            label = "single-T4 peel"
-        elif m >= 2 and len(gammas) == 1:
+            extra = (4,) * (m - 1) + tuple(gammas[1:-1])
+            label = "single-T4 peel" if m == 1 else "multi-T4 peel"
+        else:  # m >= 2, one gamma
             g1 = gammas[0]
             if CODIM[g1] == 4:
                 alpha = alpha1 = 5  # T5.T5 = 2 T13
@@ -1144,11 +1160,6 @@ class Engine:
             corners = (4, 4, alpha, alpha1)
             extra = (4,) * (m - 2)
             label = "double-T4 instance"
-        else:  # m >= 2, len(gammas) >= 2
-            _, alpha, alpha1 = FACTORIZATIONS[gammas[-1]]
-            corners = (4, gammas[0], alpha, alpha1)
-            extra = (4,) * (m - 1) + tuple(gammas[1:-1])
-            label = "multi-T4 peel"
 
         self.stats["wdvv_instances"] += 1
         record = InstanceRecord(label, corners, extra, beta, key)
@@ -1181,31 +1192,28 @@ class Engine:
                     out.append((beta, (i, j)))
         return out
 
+    def _open_two_point(self, key: Key) -> bool:
+        """The one rule for the keys of at most two insertions that stay
+        symbolic: neither derived (every derived two-point key has an
+        ``origin`` note, written with its memo value) nor seeded."""
+        return len(key[1]) <= 2 and key not in self.origin and self.seeds.lookup(*key) is None
+
     def _ensure_two_point(self, beta: Beta) -> None:
-        a, b, c = beta
-        if a + b > 2 or c > self.c_max:
+        """Solve the two-point table of ``beta`` (a+b <= 2, c <= c_max)
+        once, after those of its proper sub-classes."""
+        if beta in self._solved_betas:
             return
-        if beta in self._solved_betas or beta in self._solving:
-            return
-        self._solving.add(beta)
-        try:
-            for sub, _ in splittings(beta):
-                self._ensure_two_point(sub)
-            self._solve_two_point(beta)
-        finally:
-            self._solving.discard(beta)
+        for sub, _ in splittings(beta):
+            self._ensure_two_point(sub)
+        self._solve_two_point(beta)
         self._solved_betas.add(beta)
 
     def _solve_two_point(self, beta: Beta) -> None:
-        open_keys = []
-        for key in self._two_point_candidates(beta):
-            if key in self.memo:
-                continue
-            if self.seeds.lookup(*key) is None:
-                open_keys.append(key)
+        open_keys = [key for key in self._two_point_candidates(beta) if self._open_two_point(key)]
         if not open_keys:
             return
         solver = _GaussSolver(open_keys)
+        # the rule's keys as a set: a set lookup per key visit is cheaper
         ctx = _Context(frozenset(open_keys).__contains__)
         for corners, extra in _instance_catalog(beta):
             self.stats["solver_instances"] += 1
@@ -1284,15 +1292,12 @@ class Engine:
                       extra: Sequence[int], beta: Beta) -> LinExpr:
         """The associativity relation for the given corners as a LinExpr
         over invariant keys: it asserts const + sum coeffs[key] * <key> = 0.
-        Every unseeded two-point key the solver has not stored stays a
-        symbol; everything else is evaluated by the engine (a poisoned
+        Every key ``_open_two_point`` picks (of at most two insertions,
+        neither derived nor seeded) stays a symbol; everything else is evaluated by the engine (a poisoned
         expression names the first Unknown met).  Raises UsageError on a
         class or index ``invariant`` would refuse."""
         beta, extra = _checked_instance((i, j, k, l), extra, beta)
-        # the solver's two-point keys are exactly the two-point keys in origin
-        ctx = _Context(lambda key: (len(key[1]) <= 2 and key not in self.origin
-                                    and self.seeds.lookup(*key) is None))
-        return self._instance_expr((i, j, k, l), extra, beta, ctx)
+        return self._instance_expr((i, j, k, l), extra, beta, _Context(self._open_two_point))
 
     def wdvv_residual(self, i: int, j: int, k: int, l: int,
                       extra: Sequence[int], beta: Beta) -> Value:
@@ -1308,8 +1313,8 @@ class _Context:
 
     ``open_rule`` picks the keys that stay symbolic: None for a numeric
     reduction, whose finished values go to the engine's value table, or a
-    predicate (the solver's unknowns, or ``wdvv_instance``'s unseeded
-    two-point keys), whose expressions are cached here instead and never
+    predicate (the solver's unknowns, or ``Engine._open_two_point`` for
+    ``wdvv_instance``), whose expressions are cached here instead and never
     reach the value table (a mirror's number that a key reuses is already
     final and is stored in either case).  ``targets`` are the keys whose
     instances are being built; they stay symbolic too, so meeting one

@@ -72,6 +72,8 @@ def test_usage_errors_exit_1(capsys, argv):
     (("invariant", "--beta", "1,0,1", "--ins", "T1^99999999999999999999"), "more than 1000"),
     (("invariant", "--beta", "1,0,1", "--ins", "T4^"), "bad insertion token 'T4^'"),
     (("hyper", "--d1", "600", "--d2", "1", "--gmin", "600"), "more than 1000"),
+    (("--cmax", "-1", "verify", "--all"), "cmax must be >= 0"),
+    (("--ytrunc", "-1", "gamma", "T3", "T3", "T8"), "ytrunc must be >= 0"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, argv, needle):
     # none of these may print a made-up answer or end in a traceback
@@ -194,6 +196,7 @@ def test_seed_file_dimension_violation(capsys, tmp_path):
     ("1,0,1 | 99 | 1 | index out of range\n", "out of range"),
     ("1,0,1 | 13 | two | not a rational\n", "bad number"),
     ("1,0,1 | 13 | 1/0 | zero denominator\n", "bad number"),
+    ("1,0,1 | TT1_3 | 2 | index with a stray T and an underscore\n", "bad number"),
     ("1,0,1 | 13 | 2 | first\n1,0,1 | 13 | 3 | second\n", "conflicting seed"),
     # well formed, but the two-point solver at (0,1,1) finds a residual
     ("0,1,1 | 5 11 | 3 | contradicts associativity\n",

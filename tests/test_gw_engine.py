@@ -45,6 +45,7 @@ from qhilb.gw_engine import (
     expected_dim,
     iota_beta,
     iota_insertions,
+    splittings,
     val_mul,
 )
 from qhilb.hyperelliptic import HyperellipticQuery, count_table, forward_invariants
@@ -402,6 +403,53 @@ def test_hand_computed_family_is_not_wdvv_derivable():
         assert isinstance(eng.invariant((0, 1, c), [6, 11]), Unknown)
 
 
+@pytest.mark.parametrize("rule, beta, index, reason", [
+    ("s1s2", (0, 0, 1), 8,
+     "two-point invariant <T8>_((0, 0, 1),) not determined by the shipped seeds"),
+    ("s3", (1, 0, 1), 13,
+     "two-point invariant <T13>_((1, 0, 1),) not determined by the shipped seeds"),
+])
+def test_unseeded_one_point_key_is_not_determined(rule, beta, index, reason):
+    # the solver never takes a one-point key as a variable, so without its
+    # seed rule such a key stays Unknown
+    value = Engine(c_max=2, disabled_seed_rules=(rule,)).invariant(beta, [index])
+    assert isinstance(value, Unknown) and value.reason == reason
+
+
+@pytest.mark.parametrize("c_max, job", [
+    (4, Engine.derive_two_point_table),
+    (2, verify_all),
+    (4, lambda eng: count_table(HyperellipticQuery(2, 2, l=1), eng)),
+], ids=["two-point-table", "verify-all", "hyper-2-2-l1"])
+def test_two_point_solves_follow_the_contract(monkeypatch, c_max, job):
+    # each class is solved once, after all its proper sub-classes, and
+    # never while its own solve is running
+    eng = Engine(c_max=c_max)
+    solve = eng._solve_two_point
+    running, solved = set(), []
+
+    def checked_solve(beta):
+        assert beta not in running and beta not in solved, beta
+        assert all(sub in solved for sub, _ in splittings(beta)), beta
+        running.add(beta)
+        solve(beta)
+        running.discard(beta)
+        solved.append(beta)
+
+    monkeypatch.setattr(eng, "_solve_two_point", checked_solve)
+    job(eng)
+    assert solved and not running
+    assert set(solved) == eng._solved_betas
+
+
+def test_no_two_point_key_stays_open_after_the_table():
+    eng = Engine(c_max=4)
+    eng.derive_two_point_table()
+    for beta in eng._solved_betas:
+        for key in eng._two_point_candidates(beta):
+            assert not eng._open_two_point(key), key
+
+
 # An unseeded two-point key and its involution image.
 _OPEN_KEY, _OPEN_IMAGE = ((1, 1, 0), (10, 13)), ((1, 1, 0), (11, 13))
 
@@ -741,6 +789,29 @@ def test_seed_overrides_refuse_other_number_forms(text):
     with pytest.raises(UsageError, match="bad number in seed line"):
         table.load_overrides(["1,0,1 | 13 | %s | x" % text])
     assert table.explicit == {}
+
+
+@pytest.mark.parametrize("beta_text, ins_text", [
+    ("1,0,1", "TT1_3"),  # read as <T13>_(1,0,1) by int()
+    ("1,0,1", "TT13"), ("1,0,1", "1_3"), ("1,0,1", "\u0661\u0663"), ("1,0,1", "+13"),
+    ("1,0,1", "T"), ("1,0,1", "t13"), ("1,0,1", "T 13"),
+    ("1_0,0,1", "13"), ("\u0661,0,1", "13"), ("+1,0,1", "13"), ("-1,0,1", "13"), ("1,,1", "13"),
+])
+def test_seed_overrides_refuse_other_class_and_index_forms(beta_text, ins_text):
+    # a class component is decimal digits, an index decimal digits after
+    # one optional T
+    table = SeedTable()
+    with pytest.raises(UsageError, match="bad number in seed line"):
+        table.load_overrides(["%s | %s | 2 | x" % (beta_text, ins_text)])
+    assert table.explicit == {}
+
+
+@pytest.mark.parametrize("beta_text, ins_text", [
+    ("1,0,1", "13"), ("1,0,1", "T13"), (" 1 , 0 , 1 ", "T13"), ("01,0,1", "013")])
+def test_seed_overrides_read_class_and_index_forms(beta_text, ins_text):
+    table = SeedTable()
+    assert table.load_overrides(["%s | %s | 2 | x" % (beta_text, ins_text)]) == 1
+    assert table.explicit[((1, 0, 1), (13,))] == (2, "x")
 
 
 @pytest.mark.parametrize("text, value", [
