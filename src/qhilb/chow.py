@@ -15,15 +15,17 @@ C1.T2 = 1, C2.T1 = 1, F.T3 = 1 and all other pairings zero.  Curve classes
 are identified with their Poincare-dual codimension-3 classes.
 
 Each basis class is a word in the generators (``GENERATOR_WORDS``: T10 =
-T2.T4, T11 = T1.T4, T12 = T3.T4, T13 = T4.T4).  A product of generators is
-rewritten against the classical (q = 0) relations of the quantum
-presentation until no rule applies; the monomials left are exactly the
-basis words, so their coefficients are the coordinates.  The resulting
-cup table is cross-checked in the test suite against an independent model
-of the ring (Z/2-invariants of the blown-up product of two quadrics).
-``pairing()`` holds the intersection pairing g and its exact inverse
-g_inv; the sums over the inverse pairing read g_inv through
-``dual_groups()``, and ``dual_basis()`` is its rows as classes.
+T2.T4, T11 = T1.T4, T12 = T3.T4, T13 = T4.T4).  A product of generators,
+an exponent vector, is rewritten by the first classical (q = 0) relation
+of the quantum presentation that fits; its integer coordinates are the
+sum of its replacements', and the vectors no rule fits are exactly the
+basis words.  Each vector is reduced once and memoized: the 196 basis
+products take 65 reductions and share one class per monomial.  The cup
+table is cross-checked in the tests against an independent model (the
+Z/2-invariants of the blown-up product of two quadrics).  ``pairing()``
+holds the pairing g and its exact inverse g_inv, inverted per graded
+block (codimension k against 4 - k); sums over the inverse pairing read
+g_inv through ``dual_groups()``; ``dual_basis()`` is its rows as classes.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .coeffring import Rational, rat_str
 BASIS_SIZE = 14
 CODIM = (0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 4)
 GRADED_DIMS = (1, 3, 6, 3, 1)
+_CODIM_INDICES = tuple(tuple(i for i, c in enumerate(CODIM) if c == k) for k in range(5))
 
 # Action of the factor-swapping involution on basis indices.
 IOTA = (0, 2, 1, 3, 4, 5, 7, 6, 9, 8, 11, 10, 12, 13)
@@ -172,52 +175,48 @@ def _fits(pattern: Mono, m: Mono) -> bool:
     return all(p <= n for p, n in zip(pattern, m))
 
 
-def _apply(rule, m: Mono) -> List[Tuple[Fraction, Mono]]:
-    _, pat, repl = rule
-    base = tuple(n - p for n, p in zip(m, pat))
-    return [
-        (Fraction(c), tuple(b + r for b, r in zip(base, rp)))
-        for c, rp in repl
-    ]
-
-
 # Each basis class is its generator word; the rules leave exactly these
 # exponent vectors irreducible, so they are the terminal monomials.
-_TERMINAL = {tuple(w.count(g) for g in (1, 2, 3, 4)): i
-             for i, w in enumerate(GENERATOR_WORDS)}
+_WORD_EXPONENTS = tuple(tuple(w.count(g) for g in (1, 2, 3, 4)) for w in GENERATOR_WORDS)
+_TERMINAL = {m: i for i, m in enumerate(_WORD_EXPONENTS)}
 
 # The normalisation of the curve-class basis T10, T11, T12 against the
 # divisors T1, T2, T3 that the rewriting realises: row e, column d gives
 # the intersection number.
 CURVE_DIVISOR_PAIRING = ((1, 0, 1), (0, 1, 1), (1, 1, 1))
 
+# Integer coordinates of each exponent vector the default rewriting reduced.
+_NORMAL_MEMO: Dict[Mono, Tuple[int, ...]] = {}
 
-def _reduce_combination(combo: Dict[Mono, Fraction], rng: Optional[random.Random]) -> Dict[Mono, Fraction]:
-    """Rewrite until no rule applies; rng randomises rule and monomial
-    choice (used by the confluence test), default order is deterministic."""
-    work = {m: c for m, c in combo.items() if c != 0}
-    while True:
-        candidates = []
-        for m in work:
-            if _deg(m) > 4:
-                candidates.append((m, None))  # vanishes by grading
-                continue
-            for rule in REWRITE_RULES:
-                if _fits(rule[1], m):
-                    candidates.append((m, rule))
-        if not candidates:
-            return work
-        if rng is None:
-            m, rule = candidates[0]
-        else:
-            m, rule = candidates[rng.randrange(len(candidates))]
-        coeff = work.pop(m)
-        if rule is None:
-            continue
-        for c, m2 in _apply(rule, m):
-            work[m2] = work.get(m2, Fraction(0)) + coeff * c
-            if work[m2] == 0:
-                del work[m2]
+
+def _normal_coords(m: Mono, rng: Optional[random.Random] = None) -> Tuple[int, ...]:
+    """Integer coordinates of the monomial m: rewrite it by the first rule
+    that fits and add up the memoized coordinates of the replacements.
+    With ``rng`` every step takes a random fitting rule instead (the
+    confluence test), and the memo is neither read nor written."""
+    if rng is None and m in _NORMAL_MEMO:
+        return _NORMAL_MEMO[m]
+    acc = [0] * BASIS_SIZE  # stays zero above degree four: vanishes by grading
+    rules = [rule for rule in REWRITE_RULES if _fits(rule[1], m)]
+    if _deg(m) <= 4 and rules:
+        _, pat, repl = rules[0] if rng is None else rng.choice(rules)
+        for c, rp in repl:
+            sub = _normal_coords(tuple(n - p + r for n, p, r in zip(m, pat, rp)), rng)
+            acc = [a + c * v for a, v in zip(acc, sub)]
+    elif _deg(m) <= 4:
+        if m not in _TERMINAL:
+            raise RingConsistencyError("rewriting left the non-basis monomial %r" % (m,))
+        acc[_TERMINAL[m]] = 1
+    coords = tuple(acc)
+    if rng is None:
+        _NORMAL_MEMO[m] = coords
+    return coords
+
+
+@lru_cache(maxsize=None)
+def _monomial_class(m: Mono) -> CohVector:
+    """The one (immutable) class of the exponent vector m."""
+    return CohVector(_normal_coords(m))
 
 
 def normal_form(monomial: Iterable[int], rng: Optional[random.Random] = None) -> CohVector:
@@ -232,13 +231,7 @@ def normal_form(monomial: Iterable[int], rng: Optional[random.Random] = None) ->
         if g not in (1, 2, 3, 4):
             raise UsageError("generator index must be 1..4, got %r" % (g,))
         counts[g - 1] += 1
-    reduced = _reduce_combination({tuple(counts): Fraction(1)}, rng)
-    coords = [Fraction(0)] * BASIS_SIZE
-    for m, coeff in reduced.items():
-        if m not in _TERMINAL:
-            raise RingConsistencyError("rewriting left the non-basis monomial %r" % (m,))
-        coords[_TERMINAL[m]] += coeff
-    return CohVector(coords)
+    return CohVector(_normal_coords(tuple(counts), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +240,8 @@ def normal_form(monomial: Iterable[int], rng: Optional[random.Random] = None) ->
 
 @lru_cache(maxsize=None)
 def cup_basis(i: int, j: int) -> CohVector:
-    """Cup product of two basis classes (cached)."""
-    return normal_form(GENERATOR_WORDS[i] + GENERATOR_WORDS[j])
+    """Cup product of two basis classes: the one shared class of their monomial."""
+    return _monomial_class(tuple(a + b for a, b in zip(_WORD_EXPONENTS[i], _WORD_EXPONENTS[j])))
 
 
 def cup(x: CohVector, y: CohVector) -> CohVector:
@@ -320,7 +313,14 @@ def pairing() -> PairingMatrix:
                 raise RingConsistencyError("pairing not symmetric at (%d,%d)" % (i, j))
             if g[i][j] != 0 and CODIM[i] + CODIM[j] != 4:
                 raise RingConsistencyError("pairing not graded at (%d,%d)" % (i, j))
-    g_inv = _invert_matrix([row[:] for row in g])
+    # g pairs codimension k only with 4 - k: invert each block, placed transposed
+    g_inv = [[Fraction(0)] * BASIS_SIZE for _ in range(BASIS_SIZE)]
+    for k, rows in enumerate(_CODIM_INDICES):
+        cols = _CODIM_INDICES[4 - k]
+        block_inv = _invert_matrix([[g[i][j] for j in cols] for i in rows])
+        for j, inv_row in zip(cols, block_inv):
+            for i, w in zip(rows, inv_row):
+                g_inv[j][i] = w
     return PairingMatrix(g, g_inv)
 
 

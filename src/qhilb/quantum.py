@@ -386,12 +386,17 @@ def _parsed_relations() -> Tuple[Relation, ...]:
     return tuple(by_id[i] for i in range(1, 18))
 
 
+_LEAF_KINDS = frozenset(("num", "q", "g3", "T"))
+
+
 class _Evaluator:
     """Evaluates relation syntax trees over the quantum ring."""
 
     def __init__(self, ring: SmallQuantum):
         self.ring = ring
         self.c_max = ring.c_max
+        # each distinct constant leaf, built once; values are never mutated
+        self.leaves: Dict[tuple, object] = {}
 
     def run(self, node) -> QCohVector:
         val = self.eval(node)
@@ -399,7 +404,7 @@ class _Evaluator:
             raise UsageError("relation evaluates to a scalar, not a class")
         return val
 
-    def eval(self, node):
+    def _leaf(self, node):
         kind = node[0]
         if kind == "num":
             return QSeries.scalar(node[1], self.c_max)
@@ -411,8 +416,15 @@ class _Evaluator:
             return QSeries.monomial(tuple(expo), self.c_max)
         if kind == "g3":
             return geometric_q3(self.c_max)
-        if kind == "T":
-            return QCohVector.basis(node[1], self.c_max)
+        return QCohVector.basis(node[1], self.c_max)
+
+    def eval(self, node):
+        kind = node[0]
+        if kind in _LEAF_KINDS:
+            leaf = self.leaves.get(node)
+            if leaf is None:
+                leaf = self.leaves[node] = self._leaf(node)
+            return leaf
         if kind == "neg":
             val = self.eval(node[1])
             return -val

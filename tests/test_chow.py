@@ -223,3 +223,67 @@ def test_divisor_degree_matches_q_exponents():
         assert divisor_degree(1, beta) == e1
         assert divisor_degree(2, beta) == e2
         assert divisor_degree(3, beta) == e3
+
+
+# -- the memoized reduction ------------------------------------------------------
+
+class _CountingMemo(dict):
+    def __init__(self):
+        super().__init__()
+        self.writes = {}
+
+    def __setitem__(self, key, value):
+        self.writes[key] = self.writes.get(key, 0) + 1
+        super().__setitem__(key, value)
+
+
+def test_cup_table_reduces_each_exponent_vector_once(monkeypatch):
+    # the 196 basis products are 65 distinct exponent vectors, and every
+    # replacement the rules make is one of them: a cold table reduces
+    # exactly those, each once
+    memo = _CountingMemo()
+    monkeypatch.setattr(chow, "_NORMAL_MEMO", memo)
+    chow.cup_basis.cache_clear()
+    chow._monomial_class.cache_clear()
+    try:
+        lines = chow.cup_table_lines()
+    finally:
+        chow.cup_basis.cache_clear()
+        chow._monomial_class.cache_clear()
+    words = {tuple(a + b for a, b in zip(chow._WORD_EXPONENTS[i], chow._WORD_EXPONENTS[j]))
+             for i in range(14) for j in range(14)}
+    assert len(lines) == 196 and len(words) == 65
+    assert set(memo) == words
+    assert set(memo.writes.values()) == {1}
+
+
+def test_cup_basis_shares_one_class_per_monomial():
+    for i in range(14):
+        for j in range(14):
+            assert chow.cup_basis(i, j) is chow.cup_basis(j, i), (i, j)
+    # T1.T5 and T6.T2 are both T1^2 T2
+    assert chow.cup_basis(1, 5) is chow.cup_basis(6, 2)
+
+
+def test_randomized_normal_form_leaves_the_memo_alone():
+    chow.cup_table_lines()
+    before = dict(chow._NORMAL_MEMO)
+    rng = random.Random(5)
+    monomials = ([1, 2, 3, 3], [4, 4], [3, 3, 3], [3, 3, 3, 1, 2])
+    assert (1, 1, 3, 0) not in before  # degree five: in no basis product
+    randomized = [normal_form(mono, rng=rng) for mono in monomials for _ in range(4)]
+    assert chow._NORMAL_MEMO == before
+    assert randomized == [normal_form(mono) for mono in monomials for _ in range(4)]
+
+
+def test_pairing_block_inverse_refuses_a_singular_block():
+    with pytest.raises(chow.RingConsistencyError, match="singular"):
+        chow._invert_matrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+
+
+def test_rewriting_refuses_a_non_basis_terminal(monkeypatch):
+    # a monomial no rule fits must be a basis word
+    monkeypatch.setattr(chow, "_NORMAL_MEMO", {})
+    monkeypatch.setattr(chow, "REWRITE_RULES", chow.REWRITE_RULES[1:])  # drop sq3
+    with pytest.raises(chow.RingConsistencyError, match="non-basis monomial"):
+        chow.normal_form([3, 3])

@@ -170,3 +170,16 @@ def test_tracer_targets_resolve():
         if obj is None:
             missing.append((module, path))
     assert targets and missing == []
+
+
+def test_import_builds_no_ring_tables():
+    # the cup table and the pairing are built on first use: importing qhilb
+    # and its CLI reduces no monomial and inverts no pairing block
+    code = ("import qhilb, qhilb.cli; from qhilb import chow; "
+            "print(len(chow._NORMAL_MEMO), chow.cup_basis.cache_info().currsize, "
+            "chow.pairing.cache_info().currsize)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0 0 0"

@@ -350,3 +350,26 @@ def test_gamma_normalization(engine2):
         if deg == ydeg and not isinstance(value, Unknown):
             direct = engine2.invariant(beta, (3, 3, 13, 4, 4))
             assert value == Fraction(direct, 2)
+
+
+def _relation_leaves(node):
+    if node[0] in ("num", "q", "g3", "T"):
+        yield node
+    else:
+        for child in node[1:]:
+            if isinstance(child, tuple):
+                yield from _relation_leaves(child)
+
+
+def test_relation_leaves_built_once_per_verify(engine2, monkeypatch):
+    # each distinct constant leaf of the relation trees (a number, a q_i,
+    # G3, a basis class) is built once per verify_all, through the checked
+    # constructors, however often the trees repeat it
+    built = []
+    leaf = quantum._Evaluator._leaf
+    monkeypatch.setattr(quantum._Evaluator, "_leaf",
+                        lambda self, node: built.append(node) or leaf(self, node))
+    verify_all(engine2)
+    occurrences = [n for rel in load_relations() for n in _relation_leaves(rel.ast)]
+    assert sorted(map(repr, built)) == sorted(set(map(repr, occurrences)))
+    assert len(occurrences) > 2 * len(built)
