@@ -35,42 +35,21 @@ EXIT_UNKNOWN = 2
 EXIT_VERIFY = 3
 
 
-class Config:
-    """The global options of one run, checked on construction.  A plain
-    class: ``dataclasses`` (and the ``inspect`` it imports) would add to
-    every process start."""
-
-    def __init__(self, c_max: int = 6, y_truncation: int = 2,
-                 enable_bidegree_vanishing: bool = False,
-                 seed_override_path: Optional[str] = None, output_format: str = "text"):
-        self.c_max = c_max
-        self.y_truncation = y_truncation
-        self.enable_bidegree_vanishing = enable_bidegree_vanishing
-        self.seed_override_path = seed_override_path
-        self.output_format = output_format
-        if c_max < 0:
-            raise UsageError("cmax must be >= 0")
-        if y_truncation < 0:
-            raise UsageError("ytrunc must be >= 0")
-        if output_format not in ("text", "json", "csv"):
-            raise UsageError("format must be text, json or csv")
-
-
 # The output formats each command writes; the others write text and json.
 FORMATS = {"hyper": ("text", "json", "csv"), "seeds-export": ("text",)}
 
 
-def build_engine(cfg: Config) -> Engine:
+def build_engine(args) -> Engine:
     overrides = None
-    path = cfg.seed_override_path or os.environ.get("QHILB_SEEDS")
+    path = args.seeds or os.environ.get("QHILB_SEEDS")
     if path:
         try:
             with open(path) as fh:
                 overrides = fh.readlines()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError("cannot read seed file %r: %s" % (path, exc)) from None
-    return Engine(c_max=cfg.c_max,
-                  enable_bidegree_vanishing=cfg.enable_bidegree_vanishing,
+    return Engine(c_max=args.cmax,
+                  enable_bidegree_vanishing=args.enable_bidegree_vanishing,
                   seed_overrides=overrides)
 
 
@@ -146,19 +125,19 @@ def value_payload(value) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_invariant(args, cfg: Config) -> int:
+def cmd_invariant(args) -> int:
     beta = parse_beta(args.beta)
-    if beta[2] > cfg.c_max:
+    if beta[2] > args.cmax:
         raise UsageError(
             "truncation error: the class needs q3^%d but cmax is %d"
-            % (beta[2], cfg.c_max))
+            % (beta[2], args.cmax))
     insertions = parse_insertions(args.ins)
-    engine = build_engine(cfg)
+    engine = build_engine(args)
     engine.tracing = args.trace
     value = engine.invariant(beta, insertions)
     provenance = engine.provenance_of(beta, insertions)
     steps = engine.stats["wdvv_instances"]
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "beta": list(beta),
             "insertions": [chow.BASIS_NAMES[i] for i in insertions],
@@ -181,22 +160,22 @@ def cmd_invariant(args, cfg: Config) -> int:
     return EXIT_UNKNOWN if isinstance(value, Unknown) else EXIT_OK
 
 
-def cmd_product(args, cfg: Config) -> int:
+def cmd_product(args) -> int:
     i, j = parse_classes("product", [args.left, args.right])
-    engine = build_engine(cfg)
+    engine = build_engine(args)
     try:
         result = quantum.small_product(engine, i, j)
     except quantum.MissingInvariant as exc:
         print("missing invariant: %s" % exc, file=sys.stderr)
         return EXIT_UNKNOWN
-    if cfg.output_format == "json":
+    if args.format == "json":
         coords = {
             chow.BASIS_NAMES[k]: str(s)
             for k, s in enumerate(result.coords) if not s.is_zero()
         }
         print(render_json({
             "product": "%s*%s" % (chow.BASIS_NAMES[i], chow.BASIS_NAMES[j]),
-            "c_max": cfg.c_max,
+            "c_max": args.cmax,
             "coordinates": coords,
         }))
     else:
@@ -204,13 +183,13 @@ def cmd_product(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: Config) -> int:
+def cmd_verify(args) -> int:
     ids = None
     if not args.all:
         if not args.id:
             raise UsageError("verify wants --all or --id N [N ...]")
         ids = args.id
-    engine = build_engine(cfg)
+    engine = build_engine(args)
     residuals = quantum.verify_all(engine, ids)
     failures = {}
     lines = []
@@ -225,9 +204,9 @@ def cmd_verify(args, cfg: Config) -> int:
             }
             failures[rel_id] = offending
             lines.append("relation %2d: FAIL residual %s" % (rel_id, offending))
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(render_json({
-            "c_max": cfg.c_max,
+            "c_max": args.cmax,
             "checked": sorted(residuals),
             "passed": sorted(i for i in residuals if i not in failures),
             "failures": failures,
@@ -236,24 +215,24 @@ def cmd_verify(args, cfg: Config) -> int:
         for line in lines:
             print(line)
         print("%d/%d relations pass at c_max=%d"
-              % (len(residuals) - len(failures), len(residuals), cfg.c_max))
+              % (len(residuals) - len(failures), len(residuals), args.cmax))
     return EXIT_VERIFY if failures else EXIT_OK
 
 
-def cmd_hyper(args, cfg: Config) -> int:
+def cmd_hyper(args) -> int:
     query = hyperelliptic.HyperellipticQuery(args.d1, args.d2, args.l)
     needed_c = hyperelliptic.beta_of(query.d1, query.d2, args.gmin)[2]
-    if needed_c > cfg.c_max:
+    if needed_c > args.cmax:
         raise UsageError(
             "truncation error: genus %d needs q3^%d but cmax is %d"
-            % (args.gmin, needed_c, cfg.c_max))
+            % (args.gmin, needed_c, args.cmax))
     if query.l + query.k > MAX_INSERTIONS:
         raise UsageError("more than %d insertions: l + k = %d"
                          % (MAX_INSERTIONS, query.l + query.k))
-    engine = build_engine(cfg)
+    engine = build_engine(args)
     table = hyperelliptic.count_table(query, engine, g_min=args.gmin)
     rows = table.rows(query.l)
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "d1": query.d1, "d2": query.d2, "l": query.l,
             "counts": [
@@ -263,7 +242,7 @@ def cmd_hyper(args, cfg: Config) -> int:
             ],
         }
         print(render_json(payload))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["d1", "d2", "l", "h", "count", "provenance"])
@@ -279,10 +258,10 @@ def cmd_hyper(args, cfg: Config) -> int:
     return EXIT_UNKNOWN if unknown else EXIT_OK
 
 
-def cmd_gamma(args, cfg: Config) -> int:
+def cmd_gamma(args) -> int:
     ins = parse_classes("gamma", [args.i, args.j, args.k])
-    engine = build_engine(cfg)
-    series = quantum.gamma(engine, *ins, y_truncation=cfg.y_truncation)
+    engine = build_engine(args)
+    series = quantum.gamma(engine, *ins, y_truncation=args.ytrunc)
     entries = []
     for (beta, ydeg), value in sorted(series.terms.items()):
         ys = " ".join(
@@ -295,7 +274,7 @@ def cmd_gamma(args, cfg: Config) -> int:
             "coefficient": None if isinstance(value, Unknown) else rat_str(value),
             "note": value.reason if isinstance(value, Unknown) else "",
         })
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(render_json({"indices": ins, "terms": entries}))
     else:
         for entry in entries:
@@ -308,9 +287,9 @@ def cmd_gamma(args, cfg: Config) -> int:
     return EXIT_UNKNOWN if flagged else EXIT_OK
 
 
-def cmd_seeds_export(args, cfg: Config) -> int:
-    engine = build_engine(cfg)
-    for line in engine.seeds.materialized_lines(cfg.c_max):
+def cmd_seeds_export(args) -> int:
+    engine = build_engine(args)
+    for line in engine.seeds.materialized_lines(args.cmax):
         print(line)
     return EXIT_OK
 
@@ -371,8 +350,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("k")
 
     sub.add_parser("seeds-export",
-                   help="dump the explicit seed entries and the rule-derived "
-                        "seeds up to cmax")
+                   help="dump the explicit seed entries and every seed the "
+                        "rules give at one to three insertions up to cmax")
 
     return parser
 
@@ -387,20 +366,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        cfg = Config(
-            c_max=args.cmax,
-            y_truncation=args.ytrunc,
-            enable_bidegree_vanishing=args.enable_bidegree_vanishing,
-            seed_override_path=args.seeds,
-            output_format=args.format,
-        )
+        if args.cmax < 0:
+            raise UsageError("cmax must be >= 0")
+        if args.ytrunc < 0:
+            raise UsageError("ytrunc must be >= 0")
         formats = FORMATS.get(args.command, ("text", "json"))
-        if cfg.output_format not in formats:
+        if args.format not in formats:
             raise UsageError("%s writes --format %s, not %s"
-                             % (args.command, " or ".join(formats), cfg.output_format))
+                             % (args.command, " or ".join(formats), args.format))
         # looked up at call time, so a replaced cmd_* function is the one run
         command = globals()["cmd_" + args.command.replace("-", "_")]
-        return command(args, cfg)
+        return command(args)
     except (UsageError, ConsistencyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

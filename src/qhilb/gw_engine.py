@@ -18,7 +18,10 @@ Invariants the seeds and the recursion cannot reach (the pure T4-power
 series beyond exponent three) are first-class ``Unknown`` results carrying
 a reason, never silently zeroed.  The optional bidegree-vanishing rule
 (off by default) seeds those powers with zero for small bidegrees, where
-no curve of the corresponding type exists.
+no curve of the corresponding type exists.  ``_rule_pure_t4`` is the one
+seed rule for pure T4 powers; an unseeded power of three or more T4s is
+the Unknown of ``_reduce_by_wdvv``, which has no instance shape for it,
+and an unseeded <T4> is an unseeded one-point key (see below).
 
 The engine keeps two public tables.  ``memo`` maps a normalized key
 (class, sorted insertion tuple, as ``_normalize`` returns it) to its
@@ -626,7 +629,7 @@ class SeedTable:
         """Load "a,b,c | i1 i2 ... | p/q | citation" lines; returns count.
         A class component is decimal digits, an index decimal digits after
         an optional T, and a value an int or p/q in decimal digits, as
-        ``export_lines`` writes them.  A malformed or conflicting line
+        ``materialized_lines`` writes them.  A malformed or conflicting line
         raises UsageError naming it, and so does a bare string (it would be
         read one character a line)."""
         if isinstance(lines, str):
@@ -659,33 +662,19 @@ class SeedTable:
             n += 1
         return n
 
-    def export_lines(self) -> List[str]:
-        return [_seed_line(*item) for item in sorted(self.explicit.items())]
-
     def materialize(self, c_max: int) -> Dict[Key, Tuple[Value, str]]:
-        """Explicit entries plus every rule-based seed with q3-order up to
-        c_max, as a concrete table (used by export and for inspection)."""
+        """Explicit entries plus what ``lookup`` answers at every key of one
+        up to n insertions from T1..T13 (n the largest count a seed rule
+        names; the fundamental-class axiom fixes every key with T0), at
+        every class with c <= c_max where it passes the dimension axiom:
+        a concrete table (used by export and for inspection)."""
         table: Dict[Key, Tuple[Value, str]] = dict(self.explicit)
-        candidates: List[Key] = []
-        for c in range(c_max + 1):
-            for i in range(4, 10):
-                candidates.append(((0, 0, c), (i,)))
-            for ab in ((1, 0), (0, 1)):
-                beta = (ab[0], ab[1], c)
-                candidates.append((beta, (13,)))
-                candidates.append((beta, (4, 4, 4)))
-                for e in (10, 11, 12):
-                    for i in (4, 5, 6, 7):
-                        candidates.append((beta, tuple(sorted((i, e)))))
-            candidates.append(((1, 1, 1), (10, 13)))
-            candidates.append(((1, 1, 1), (11, 13)))
-            candidates.append(((1, 1, 1), (12, 13)))
-        for beta, ins in candidates:
-            if beta == (0, 0, 0) or not dimension_check(beta, ins):
-                continue
-            hit = self.lookup(beta, ins)
-            if hit is not None and (beta, ins) not in table:
-                table[(beta, ins)] = hit
+        for n in range(1, max(self._by_count) + 1):
+            for ins in itertools.combinations_with_replacement(range(1, chow.BASIS_SIZE), n):
+                for beta in dimension_classes(ins, c_max):
+                    hit = self.lookup(beta, ins)
+                    if hit is not None:
+                        table.setdefault((beta, ins), hit)
         return table
 
     def materialized_lines(self, c_max: int) -> List[str]:
@@ -1054,12 +1043,7 @@ class Engine:
                 self.stats["involution_hits"] += 1
                 return LinExpr.of_value(mirror)
         record = None
-        if ins and all(i == 4 for i in ins):
-            # pure incidence-class powers are seed material, never derived
-            expr = LinExpr(poison=Unknown(
-                "requires <T4^%d>_(%d,%d,%d) seed; pure incidence-class powers "
-                "beyond exponent three are not derivable here" % (len(ins), *beta)))
-        elif len(ins) <= 2:
+        if len(ins) <= 2:
             expr = self._two_point_expr(key)
         else:
             expr, record = self._reduce_by_wdvv(key, ctx)
@@ -1131,15 +1115,17 @@ class Engine:
             rel.const += _quotient(scaled_acc, scaled_dual_groups()[0])
         return rel
 
-    def _reduce_by_wdvv(self, key: Key, ctx: "_Context") -> Tuple[LinExpr, InstanceRecord]:
+    def _reduce_by_wdvv(self, key: Key, ctx: "_Context") -> Tuple[LinExpr, Optional[InstanceRecord]]:
         """Case analysis on (number of T4 insertions, the rest); returns the
-        key's expression and the instance that determined it."""
+        key's expression and the instance that determined it, None for an
+        unseeded pure T4 power, which no instance shape reaches."""
         beta, ins = key
         m = sum(1 for t in ins if t == 4)
         gammas = sorted((t for t in ins if t != 4), key=lambda t: -CODIM[t])
         if not gammas:
-            # pure T4 powers are seeds only; unseeded ones already returned
-            raise ConsistencyError("pure-T4 key %r escaped the lookup" % (key,))
+            return LinExpr(poison=Unknown(
+                "requires <T4^%d>_(%d,%d,%d) seed; pure incidence-class powers "
+                "beyond exponent three are not derivable here" % (m, *beta))), None
 
         if m == 0:
             _, alpha, alpha1 = FACTORIZATIONS[gammas[-1]]

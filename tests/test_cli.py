@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from qhilb import cli
 from qhilb.cli import main, render_json
-from qhilb.gw_engine import dimension_check
+from qhilb.chow import BASIS_SIZE
+from qhilb.gw_engine import SeedTable, dimension_check, dimension_classes
 
 DATA = Path(__file__).parent / "data"
 
@@ -41,6 +42,17 @@ def test_invariant_unknown_exit_code(capsys):
     code, out, _ = run(capsys, "--cmax", "2", "invariant", "--beta", "3,2,2", "--ins", "T4^11")
     assert code == 2
     assert out.splitlines()[0] == "UNKNOWN"
+
+
+def test_invariant_unknown_json(capsys):
+    code, out, _ = run(capsys, "--cmax", "4", "--format", "json", "invariant",
+                       "--beta", "1,1,1", "--ins", "T4^5")
+    assert code == 2
+    payload = json.loads(out)
+    reason = ("requires <T4^5>_(1,1,1) seed; pure incidence-class powers "
+              "beyond exponent three are not derivable here")
+    assert payload["result"] == {"state": "unknown", "reason": reason}
+    assert payload["wdvv_instances"] == 0
 
 
 def test_invariant_parse_error(capsys):
@@ -74,6 +86,12 @@ def test_usage_errors_exit_1(capsys, argv):
     (("hyper", "--d1", "600", "--d2", "1", "--gmin", "600"), "more than 1000"),
     (("--cmax", "-1", "verify", "--all"), "cmax must be >= 0"),
     (("--ytrunc", "-1", "gamma", "T3", "T3", "T8"), "ytrunc must be >= 0"),
+    (("invariant", "--beta", "1,0,1", "--ins", "T14"), "basis index out of range in 'T14'"),
+    (("invariant", "--beta", "1,0,1", "--ins", "T4^-1"), "negative power in 'T4^-1'"),
+    (("invariant", "--beta", "1,x,1", "--ins", "T13"),
+     "curve class components must be integers: '1,x,1'"),
+    (("hyper", "--d1", "2", "--d2", "2", "--l", "-1"),
+     "the number of conjugate pairs must be >= 0"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, argv, needle):
     # none of these may print a made-up answer or end in a traceback
@@ -313,6 +331,24 @@ def test_seeds_export(capsys):
     assert table.load_overrides(lines) == len(lines)
 
 
+def test_seeds_export_lists_every_rule_seed(capsys):
+    # every key of 1-3 insertions that the seed table answers at c <= 2
+    # is a line of the export, and the export lists nothing else
+    table = SeedTable()
+    want = set()
+    for n in range(1, 4):
+        for ins in itertools.combinations_with_replacement(range(BASIS_SIZE), n):
+            for beta in dimension_classes(ins, 2):
+                hit = table.lookup(beta, ins)
+                if hit is not None:
+                    want.add("%d,%d,%d | %s | %s | %s"
+                             % (*beta, " ".join(map(str, ins)), hit[0], hit[1]))
+    code, out, _ = run(capsys, "--cmax", "2", "seeds-export")
+    assert code == 0
+    assert set(out.splitlines()) == want
+    assert any("divisor dressing" in line for line in want)
+
+
 @pytest.mark.parametrize("flags, golden", [
     ((), "seeds_export_c4.golden"),
     (("--enable-bidegree-vanishing",), "seeds_export_c4_vanishing.golden"),
@@ -329,6 +365,14 @@ def test_gamma_command(capsys):
     code, out, _ = run(capsys, "--cmax", "1", "--ytrunc", "0", "gamma", "T3", "T3", "T8")
     assert code == 0
     assert "beta=(0, 0, 1)" in out
+
+
+def test_gamma_unknown_terms(capsys):
+    code, out, _ = run(capsys, "--cmax", "2", "gamma", "T4", "T4", "T4")
+    assert code == 2
+    unknown = [line for line in out.splitlines() if "-> UNKNOWN " in line]
+    assert len(unknown) == 9
+    assert unknown[0].startswith("beta=(0, 2, 0) y=y4^2 -> UNKNOWN requires <T4^5>_(0,2,0) seed")
 
 
 # one quick job per command, and the formats it writes
@@ -409,7 +453,7 @@ def test_parser_built_once_and_commands_looked_up_per_run(monkeypatch, capsys):
     try:
         assert run(capsys, "--cmax", "0", "product", "T1", "T3")[0] == 0
         # a replaced command (or build_engine) takes effect in the next run
-        monkeypatch.setattr(cli, "cmd_product", lambda args, cfg: print("patched") or 0)
+        monkeypatch.setattr(cli, "cmd_product", lambda args: print("patched") or 0)
         assert run(capsys, "--cmax", "0", "product", "T1", "T3") == (0, "patched\n", "")
         assert built == [1]
     finally:

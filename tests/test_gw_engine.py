@@ -709,13 +709,26 @@ def test_disabled_seed_rules_must_name_rules():
         2, "one- and two-point values on the section-plus-fiber classes")
 
 
+def test_unseeded_pure_t4_reasons():
+    # an unseeded <T4> is an unseeded one-point key; an unseeded power of
+    # three T4s is Unknown before any associativity instance runs
+    eng = Engine(c_max=2, disabled_seed_rules=("s1s2", "s8s9"))
+    assert eng.invariant((0, 0, 1), [4]) == Unknown(
+        "two-point invariant <T4>_((0, 0, 1),) not determined by the shipped seeds")
+    eng = Engine(c_max=2, disabled_seed_rules=("s8s9",))
+    assert eng.invariant((0, 1, 0), [4, 4, 4]) == Unknown(
+        "requires <T4^3>_(0,1,0) seed; pure incidence-class powers "
+        "beyond exponent three are not derivable here")
+    assert eng.stats["wdvv_instances"] == 0
+
+
 def test_seed_overrides_roundtrip():
     lines = ["3,2,2 | 4 4 4 4 4 4 4 4 4 4 4 | 7/3 | synthetic value for testing"]
     eng = Engine(c_max=2, seed_overrides=lines)
     assert eng.invariant((3, 2, 2), [4] * 11) == Fraction(7, 3)
     # the involution image is seeded automatically
     assert eng.invariant((2, 3, 2), [4] * 11) == Fraction(7, 3)
-    exported = eng.seeds.export_lines()
+    exported = eng.seeds.materialized_lines(2)
     assert any("7/3" in line for line in exported)
 
 

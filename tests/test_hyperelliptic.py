@@ -57,6 +57,8 @@ def test_seed_vanishing():
     for d in range(1, 8):
         assert seed_vanishing(1, d)
     assert seed_vanishing(2, 2)
+    with pytest.raises(UsageError):
+        seed_vanishing(-1, 2)
 
 
 # -- the binomial transform ------------------------------------------------------
@@ -262,7 +264,8 @@ ATLAS_HEADER = """\
 # without (vanishing 0) and with (vanishing 1) the bidegree-vanishing rule.
 # Engine-derived and frozen, not external ground truth: of these entries
 # only the l = 2, h = 0 ones are checked against an independent count
-# (oracle_quadric).
+# (oracle_quadric), and the vanishing-rule l = 1, h = 1 ones of (2,3) and
+# (3,2) against the Kleiman-Piene count N1 = 20 (oracle_severi).
 """
 
 

@@ -342,6 +342,17 @@ def test_gamma_flags_unknowns():
         assert key not in flagged
 
 
+def test_gamma_flags_pure_t4_powers():
+    # the y4^2 term of gamma(T4, T4, T4) reads <T4^5>, which no seed gives
+    flagged = gamma(Engine(c_max=2), 4, 4, 4, y_truncation=2).flagged_terms()
+    assert sorted(flagged) == [(beta, (2,) + (0,) * 9) for beta in [
+        (0, 2, 0), (0, 2, 1), (0, 2, 2), (1, 1, 0), (1, 1, 1), (1, 1, 2),
+        (2, 0, 0), (2, 0, 1), (2, 0, 2)]]
+    assert flagged[((1, 1, 1), (2,) + (0,) * 9)] == Unknown(
+        "requires <T4^5>_(1,1,1) seed; pure incidence-class powers "
+        "beyond exponent three are not derivable here")
+
+
 def test_gamma_normalization(engine2):
     # a doubled insertion divides by 2! = 2
     g = gamma(engine2, 3, 3, 13, y_truncation=2)
