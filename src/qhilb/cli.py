@@ -321,7 +321,7 @@ def make_parser() -> argparse.ArgumentParser:
                              "first admissible bidegree")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--trace", action="store_true",
-                        help="dump every associativity instance used")
+                        help="dump every associativity instance built")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -351,7 +351,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("seeds-export",
                    help="dump the explicit seed entries and every seed the "
-                        "rules give at one to three insertions up to cmax")
+                        "rules give at the keys of one to three insertions "
+                        "the engine looks up, up to cmax")
 
     return parser
 

@@ -92,6 +92,14 @@ solve is re-entered.  A one-point key is never solved for, so an
 unseeded one (a seed rule disabled) is Unknown, "not determined by the
 shipped seeds"; a key at c > c_max is Unknown, "exceeds c_max".
 
+A class's two-point solve reduces the keys of three or more insertions
+its instances meet, with the open keys as symbols.  If it leaves every
+open key a number, the engine keeps each unpoisoned expression with its
+``InstanceRecord`` (``_solved_exprs``), and the numeric reduction puts the
+solved values into it where it would build that key's instance (after the
+memo, seed and mirror checks).  So each key's instance is built once,
+except a key whose own numeric instance starts its class's solve.
+
 The four boundary terms of an associativity instance are compiled once
 per (corners, extra) shape by the cached ``_boundary_terms``: the cup
 products are expanded into (sorted insertions, signed coefficient) pairs
@@ -100,11 +108,15 @@ so recursion order and the first Unknown do not change.  Equal insertion
 tuples are never merged, because a key whose coefficients cancel must
 still be reduced: if it is Unknown, its poison still reaches the residual.
 Each instance then normalizes and reduces the compiled terms at its class
-and folds them, and the interior sum, into one fresh ``LinExpr``.  The
-axioms' class-free part is cached per raw insertion tuple by
-``_normal_plan`` (T0, the a+b the dimension axiom wants, the divisors to
-strip, the sorted rest), so normalizing at a class compares a+b and
-multiplies the stripped divisors' degrees.
+and folds them, and the interior sum, into one fresh ``LinExpr``, the
+only one it builds: the reducer (``_reduce_key``, ``_reduce_by_wdvv``,
+``_two_point_expr``) returns a number or an Unknown unless a symbol is
+left, a ``LinExpr`` only while it names a target or an open two-point
+key, and None for such a key itself.  The axioms' class-free part is
+cached per raw insertion tuple by ``_normal_plan`` (T0, the a+b the
+dimension axiom wants, the divisors to strip, the sorted rest), so
+normalizing at a class compares a+b and multiplies the stripped
+divisors' degrees.
 
 Integral values travel as Python ints: memo entries, seed values, row
 entries, the compiled boundary coefficients, the axioms' divisor factors,
@@ -123,7 +135,7 @@ the engine's own number for a sorted tuple of basis indices; the quantum
 product sums those in integers and builds each ``QSeries`` coefficient
 once, an int when it is integral.
 
-Values and keys are immutable; all three tables follow a single-writer
+Values and keys are immutable; all the tables follow a single-writer
 contract (concurrent reads are fine, writes must be serialized by the
 caller).  Everything here is deterministic and single-threaded by default.
 """
@@ -200,9 +212,13 @@ def _quotient(x: Union[int, Fraction], d: Union[int, Fraction]) -> Union[int, Fr
     return _exact(Fraction(x, d))
 
 
+_ZERO = Fraction(0)  # every zero the public API returns (a Fraction is immutable)
+
+
 def _public(v: Value) -> Union[Fraction, Unknown]:
-    """A value as the public API returns it: a number as a Fraction."""
-    return v if isinstance(v, Unknown) else Fraction(v)
+    """A value as the public API returns it: a number as a Fraction, and 0
+    as the shared ``_ZERO``."""
+    return v if isinstance(v, Unknown) else Fraction(v) if v else _ZERO
 
 
 def val_mul(x: Value, y: Value) -> Value:
@@ -482,23 +498,16 @@ def _checked_class(beta: Sequence[int]) -> Beta:
     raise UsageError("invariants want a nonzero effective class, got %r" % (beta,))
 
 
-def _checked_key(beta: Sequence[int], insertions: Sequence, vectors: bool) -> Beta:
-    """The class of a public query as ``_checked_class`` returns it, after
-    checking the insertions as ``check_insertions`` does.  Raises
-    UsageError."""
-    beta = _checked_class(beta)
-    check_insertions(insertions, vectors)
-    return beta
-
-
 def _checked_instance(corners: Tuple[int, int, int, int], extra: Sequence[int],
                       beta: Sequence[int]) -> Tuple[Beta, Insertions]:
     """The class and the sorted extra insertions of a public WDVV instance,
-    after checking them as ``_checked_key`` does, with ``extra`` a
-    sequence.  Raises UsageError."""
+    after checking the class and then every insertion as ``invariant``
+    does, with ``extra`` a sequence.  Raises UsageError."""
     if not isinstance(extra, Sequence):
         raise UsageError("extra insertions want a sequence of basis indices, got %r" % (extra,))
-    return _checked_key(beta, corners + tuple(extra), vectors=False), tuple(sorted(extra))
+    beta = _checked_class(beta)
+    check_insertions(corners + tuple(extra), vectors=False)
+    return beta, tuple(sorted(extra))
 
 
 def _expand(insertions: Iterable) -> Iterator[Tuple[Insertions, Union[int, Fraction]]]:
@@ -663,14 +672,16 @@ class SeedTable:
         return n
 
     def materialize(self, c_max: int) -> Dict[Key, Tuple[Value, str]]:
-        """Explicit entries plus what ``lookup`` answers at every key of one
-        up to n insertions from T1..T13 (n the largest count a seed rule
-        names; the fundamental-class axiom fixes every key with T0), at
-        every class with c <= c_max where it passes the dimension axiom:
+        """Explicit entries plus what ``lookup`` answers at every key the
+        engine looks up (one up to n insertions from T1..T13, n the largest
+        count a seed rule names, that the divisor axiom leaves as they are)
+        at every class with c <= c_max where it passes the dimension axiom:
         a concrete table (used by export and for inspection)."""
         table: Dict[Key, Tuple[Value, str]] = dict(self.explicit)
         for n in range(1, max(self._by_count) + 1):
             for ins in itertools.combinations_with_replacement(range(1, chow.BASIS_SIZE), n):
+                if _normal_plan(ins)[2] != ins:
+                    continue
                 for beta in dimension_classes(ins, c_max):
                     hit = self.lookup(beta, ins)
                     if hit is not None:
@@ -809,16 +820,6 @@ class LinExpr:
         self.coeffs: Dict[Key, Union[int, Fraction]] = dict(coeffs or {})
         self.poison = poison
 
-    @classmethod
-    def of_value(cls, v: Value) -> "LinExpr":
-        if isinstance(v, Unknown):
-            return cls(poison=v)
-        return cls(const=v)
-
-    @classmethod
-    def symbol(cls, key: Key) -> "LinExpr":
-        return cls(coeffs={key: 1})
-
     def add_scaled(self, other: "LinExpr", c) -> None:
         """In place: self += c * other, keeping the first poison and dropping
         coefficients that reach zero.  Only for a fresh accumulator."""
@@ -832,13 +833,6 @@ class LinExpr:
                 coeffs[k] = total
             else:
                 del coeffs[k]
-
-    def value(self) -> Value:
-        if self.poison is not None:
-            return self.poison
-        if self.coeffs:
-            raise ConsistencyError("unresolved symbols in %r" % sorted(self.coeffs))
-        return self.const
 
     def __repr__(self):
         return "LinExpr(%s, %s, poison=%r)" % (self.const, self.coeffs, self.poison)
@@ -869,6 +863,14 @@ FACTORIZATIONS = {
 # The engine
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _shape_note(label: str, corners: Tuple[int, int, int, int], extra: Insertions) -> str:
+    """The class-free head of an instance's note.  Cached like ``splittings``."""
+    return "%s: corners(%s) extra(%s)" % (
+        label, ",".join(chow.BASIS_NAMES[i] for i in corners),
+        " ".join(chow.BASIS_NAMES[i] for i in extra) or "-")
+
+
 class InstanceRecord:
     """One associativity instance, for tracing and the derivation audit."""
 
@@ -882,16 +884,13 @@ class InstanceRecord:
         self.target = target
 
     def instance(self) -> str:
-        corners = ",".join(chow.BASIS_NAMES[i] for i in self.corners)
-        extra = " ".join(chow.BASIS_NAMES[i] for i in self.extra) or "-"
-        return "%s: corners(%s) extra(%s) at %r" % (self.label, corners, extra, self.beta)
+        return "%s at %r" % (_shape_note(self.label, self.corners, self.extra), self.beta)
 
     def describe(self) -> str:
-        tgt = ""
-        if self.target is not None:
-            tb, ti = self.target
-            tgt = " for <%s>_%r" % (" ".join(chow.BASIS_NAMES[i] for i in ti), (tb,))
-        return self.instance() + tgt
+        if self.target is None:
+            return self.instance()
+        tb, ti = self.target
+        return "%s for <%s>_%r" % (self.instance(), " ".join(chow.BASIS_NAMES[i] for i in ti), (tb,))
 
 
 class Engine:
@@ -910,6 +909,7 @@ class Engine:
         self.origin: Dict[Key, str] = {}
         self._rows: Dict[tuple, _Row] = {}
         self._solved_betas = set()
+        self._solved_exprs: Dict[Key, tuple] = {}  # see the module docstring
         self.stats = {"wdvv_instances": 0, "solver_instances": 0, "involution_hits": 0}
         self.tracing = False
         self.trace_log: List[InstanceRecord] = []
@@ -924,7 +924,9 @@ class Engine:
         beta = _checked_class(beta)
         if check_insertions(insertions, vectors=True):
             value = self._invariant(beta, tuple(sorted(insertions)))
-            return value if type(value) is Unknown else Fraction(value)
+            if type(value) is Unknown:
+                return value
+            return Fraction(value) if value else _ZERO
         total = 0
         unknown: Optional[Unknown] = None
         for ins, coeff in _expand(insertions):
@@ -933,10 +935,11 @@ class Engine:
                 unknown = unknown or value
             elif value:
                 total += coeff * value
-        return unknown or Fraction(total)
+        return unknown or _public(total)
 
     def provenance_of(self, beta: Beta, insertions: Sequence[int]) -> str:
-        beta = _checked_key(beta, insertions, vectors=False)
+        beta = _checked_class(beta)
+        check_insertions(insertions, vectors=False)
         factor, key = self._normalize(beta, tuple(sorted(insertions)))
         if key is None:
             return "vanishes by an axiom (fundamental class, dimension, or divisor degree)"
@@ -979,7 +982,7 @@ class Engine:
             return 0
         value = self.memo.get(key)
         if value is None:
-            value = self.memo[key] = _exact(self._reduce_key(key, _Context()).value())
+            value = self.memo[key] = self._reduce_key(key, _Context())
         return value if isinstance(value, Unknown) else _exact(factor * value)
 
     # invariant_value(beta, ins): the invariant of the class ``beta`` with a
@@ -1018,20 +1021,25 @@ class Engine:
 
     # -- the recursive reducer ------------------------------------------------
 
-    def _reduce_key(self, key: Key, ctx: "_Context") -> LinExpr:
+    def _reduce_key(self, key: Key, ctx: "_Context") -> Union[Value, LinExpr, None]:
+        """The key's value in ``ctx``: a number or an Unknown, a LinExpr while
+        it names symbols of ``ctx`` (targets and open keys), None for one."""
         if key in ctx.targets or (ctx.open_rule is not None and ctx.open_rule(key)):
-            return LinExpr.symbol(key)
+            return None
         cached = ctx.cache.get(key)
         if cached is not None:
-            return cached
+            return cached[0]
         memo_hit = self.memo.get(key)
         if memo_hit is not None:
-            return LinExpr.of_value(memo_hit)
+            return memo_hit
         beta, ins = key
         seed = self.seeds.lookup(beta, ins)
         if seed is not None:
-            return LinExpr.of_value(seed[0])
-        if len(ins) >= 3:
+            return seed[0]
+        record = None
+        if len(ins) <= 2:
+            value = self._two_point_expr(key)
+        else:
             # the factor swap fixes every invariant, so a mirror that is
             # already a number is this key's value (it differs from the
             # key, which missed the memo); an Unknown mirror is not reused
@@ -1041,35 +1049,35 @@ class Engine:
                 self.memo[key] = mirror
                 self.origin[key] = self.origin[mkey] + " (involution image)"
                 self.stats["involution_hits"] += 1
-                return LinExpr.of_value(mirror)
-        record = None
-        if len(ins) <= 2:
-            expr = self._two_point_expr(key)
-        else:
-            expr, record = self._reduce_by_wdvv(key, ctx)
+                return mirror
+            # a key its class's solve reduced: the solved values put into that expression
+            value, record = self._solved_exprs.pop(key, (None, None))
+            if type(value) is LinExpr:
+                value = _exact(value.const + sum(c * self.memo[k] for k, c in value.coeffs.items()))
+            elif value is None:
+                value, record = self._reduce_by_wdvv(key, ctx)
         if ctx.open_rule is not None:
-            if ctx.targets.isdisjoint(expr.coeffs):
-                ctx.cache[key] = expr
-        elif not expr.coeffs:
-            self.memo[key] = _exact(expr.value())
-            if record is not None and expr.poison is None:
+            if type(value) is not LinExpr or ctx.targets.isdisjoint(value.coeffs):
+                ctx.cache[key] = (value, record)
+        elif type(value) is not LinExpr:
+            self.memo[key] = value
+            if record is not None and type(value) is not Unknown:
                 self.origin[key] = "WDVV " + record.instance()
-        return expr
+        return value
 
-    def _two_point_expr(self, key: Key) -> LinExpr:
+    def _two_point_expr(self, key: Key) -> Value:
         """An unseeded key of one or two insertions that missed the memo;
         only a numeric reduction meets one (see the two-point contract in
         the module docstring)."""
         beta, ins = key
         if beta[2] > self.c_max:
-            return LinExpr(poison=Unknown("exceeds c_max=%d at %r" % (self.c_max, (beta,))))
+            return Unknown("exceeds c_max=%d at %r" % (self.c_max, (beta,)))
         self._ensure_two_point(beta)
         stored = self.memo.get(key)
         if stored is not None:
-            return LinExpr.of_value(stored)
-        reason = "two-point invariant <%s>_%r not determined by the shipped seeds" % (
-            " ".join(chow.BASIS_NAMES[i] for i in ins), (beta,))
-        return LinExpr(poison=Unknown(reason))
+            return stored
+        return Unknown("two-point invariant <%s>_%r not determined by the shipped seeds" % (
+            " ".join(chow.BASIS_NAMES[i] for i in ins), (beta,)))
 
     def _instance_expr(self, corners, extra: Insertions, beta: Beta, ctx: "_Context") -> LinExpr:
         """Residual of one associativity instance: identically zero.
@@ -1077,17 +1085,33 @@ class Engine:
         corners (i, j, k, l): the equation couples the pairing (ij|kl)
         against (ik|jl) over all splittings of ``beta`` and labelled
         partitions of ``extra``.  Interior factors sit at smaller classes
-        and are evaluated numerically.  The result is a fresh LinExpr that
-        no table shares, so callers may mutate it.
+        and are evaluated numerically.  The result, the one LinExpr the
+        instance builds, is fresh and no table shares it: callers may mutate it.
         """
         i, j, k, l = corners
         rel = LinExpr()  # the one accumulator, mutated only here
+        coeffs = rel.coeffs
+        const = 0  # the numbers' part of the boundary
         normalize = self._normalize
         reduce_key = self._reduce_key
         for ins, coeff in _boundary_terms(corners, extra):
             factor, key = normalize(beta, ins)
-            if key is not None:
-                rel.add_scaled(reduce_key(key, ctx), coeff * factor)
+            if key is None:
+                continue
+            value = reduce_key(key, ctx)
+            kind = type(value)
+            if value is None:  # the key is a symbol
+                total = coeffs.get(key, 0) + coeff * factor
+                if total:
+                    coeffs[key] = total
+                else:
+                    del coeffs[key]
+            elif kind is LinExpr:
+                rel.add_scaled(value, coeff * factor)
+            elif kind is Unknown:
+                rel.poison = rel.poison or value
+            elif value:
+                const += coeff * factor * value
         plans = _interior_plan(corners, extra, beta[0] + beta[1])
         side = self._side
         scaled_acc = 0  # D times the interior sum
@@ -1109,23 +1133,25 @@ class Engine:
                     # (ij|kl) side first at equal (e, f)
                     if type(lhs) is not tuple or (type(rhs) is tuple and rhs[:2] < lhs[:2]):
                         lhs = rhs
-                    return LinExpr(poison=lhs[2])
+                    rel.const, rel.coeffs, rel.poison = 0, {}, lhs[2]
+                    return rel
                 scaled_acc += weight * (lhs - rhs)
         if scaled_acc:
-            rel.const += _quotient(scaled_acc, scaled_dual_groups()[0])
+            const += _quotient(scaled_acc, scaled_dual_groups()[0])
+        rel.const += const
         return rel
 
-    def _reduce_by_wdvv(self, key: Key, ctx: "_Context") -> Tuple[LinExpr, Optional[InstanceRecord]]:
+    def _reduce_by_wdvv(self, key: Key, ctx: "_Context") -> tuple:
         """Case analysis on (number of T4 insertions, the rest); returns the
-        key's expression and the instance that determined it, None for an
-        unseeded pure T4 power, which no instance shape reaches."""
+        key's value as ``_reduce_key`` does and the instance that determined
+        it, None for an unseeded pure T4 power (no instance shape has it)."""
         beta, ins = key
         m = sum(1 for t in ins if t == 4)
         gammas = sorted((t for t in ins if t != 4), key=lambda t: -CODIM[t])
         if not gammas:
-            return LinExpr(poison=Unknown(
+            return Unknown(
                 "requires <T4^%d>_(%d,%d,%d) seed; pure incidence-class powers "
-                "beyond exponent three are not derivable here" % (m, *beta))), None
+                "beyond exponent three are not derivable here" % (m, *beta)), None
 
         if m == 0:
             _, alpha, alpha1 = FACTORIZATIONS[gammas[-1]]
@@ -1158,25 +1184,24 @@ class Engine:
         finally:
             ctx.targets.discard(key)
         if rel.poison is not None:
-            return LinExpr(poison=rel.poison), record
+            return rel.poison, record
         t_c = rel.coeffs.pop(key, 0)
         if t_c == 0:
             raise ConsistencyError(
                 "instance for %r does not contain its target (case %s)" % (key, label))
         # rel = t_c <key> + rest, so <key> = -rest / t_c
-        return LinExpr(_quotient(-rel.const, t_c),
-                       {k: _quotient(-v, t_c) for k, v in rel.coeffs.items()}), record
+        if not rel.coeffs:
+            return _quotient(-rel.const, t_c), record
+        rel.const = _quotient(-rel.const, t_c)
+        rel.coeffs = {k: _quotient(-v, t_c) for k, v in rel.coeffs.items()}
+        return rel, record
 
     # -- two-point derivation --------------------------------------------------
 
     def _two_point_candidates(self, beta: Beta) -> List[Key]:
         need = expected_dim(beta, 2)
-        out = []
-        for i in range(1, chow.BASIS_SIZE):
-            for j in range(i, chow.BASIS_SIZE):
-                if CODIM[i] + CODIM[j] == need:
-                    out.append((beta, (i, j)))
-        return out
+        return [(beta, (i, j)) for i in range(1, chow.BASIS_SIZE)
+                for j in range(i, chow.BASIS_SIZE) if CODIM[i] + CODIM[j] == need]
 
     def _open_two_point(self, key: Key) -> bool:
         """The one rule for the keys of at most two insertions that stay
@@ -1230,6 +1255,9 @@ class Engine:
             self.memo[key] = Unknown(
                 "two-point invariant left undetermined by the associativity system")
             self.origin[key] = "underdetermined"
+        if not undetermined:  # else a cancelled open key may poison an instance
+            self._solved_exprs.update(
+                (key, entry) for key, entry in ctx.cache.items() if type(entry[0]) is not Unknown)
 
     def _store_two_point(self, key: Key, value: Value, note: str) -> None:
         value = _exact(value)
@@ -1254,22 +1282,14 @@ class Engine:
     def derive_two_point_table(self) -> Dict[Key, Value]:
         """Derive every two-point invariant with a + b <= 2 up to the
         engine's c_max; returns the combined seed + derived table."""
-        betas = []
-        for a in range(3):
-            for b in range(3 - a):
-                for c in range(self.c_max + 1):
-                    if (a, b, c) != (0, 0, 0):
-                        betas.append((a, b, c))
-        betas.sort(key=beta_key)
+        betas = sorted(((a, b, c) for a in range(3) for b in range(3 - a)
+                        for c in range(self.c_max + 1) if (a, b, c) != (0, 0, 0)), key=beta_key)
         table: Dict[Key, Value] = {}
         for beta in betas:
             self._ensure_two_point(beta)
             for key in self._two_point_candidates(beta):
                 seed = self.seeds.lookup(*key)
-                if seed is not None:
-                    table[key] = Fraction(seed[0])
-                else:
-                    table[key] = _public(self.memo[key])
+                table[key] = _public(self.memo[key] if seed is None else seed[0])
         return table
 
     # -- public WDVV surface ---------------------------------------------------
@@ -1279,8 +1299,9 @@ class Engine:
         """The associativity relation for the given corners as a LinExpr
         over invariant keys: it asserts const + sum coeffs[key] * <key> = 0.
         Every key ``_open_two_point`` picks (of at most two insertions,
-        neither derived nor seeded) stays a symbol; everything else is evaluated by the engine (a poisoned
-        expression names the first Unknown met).  Raises UsageError on a
+        neither derived nor seeded) stays a symbol; everything else is
+        evaluated by the engine (a poisoned expression names the first
+        Unknown met).  Raises UsageError on a
         class or index ``invariant`` would refuse."""
         beta, extra = _checked_instance((i, j, k, l), extra, beta)
         return self._instance_expr((i, j, k, l), extra, beta, _Context(self._open_two_point))
@@ -1291,7 +1312,8 @@ class Engine:
         computed invariants satisfy the equation; Unknown if any term is).
         Checked like ``wdvv_instance``."""
         beta, extra = _checked_instance((i, j, k, l), extra, beta)
-        return _public(self._instance_expr((i, j, k, l), extra, beta, _Context()).value())
+        rel = self._instance_expr((i, j, k, l), extra, beta, _Context())
+        return _public(rel.poison or rel.const)  # a numeric context leaves no symbol
 
 
 class _Context:
@@ -1306,7 +1328,7 @@ class _Context:
     instances are being built; they stay symbolic too, so meeting one
     again inside its own reduction closes the linear equation instead of
     recursing.  Expressions that mention a target are valid only while it
-    is open and are not cached.
+    is open and are not cached; ``cache`` holds (value, InstanceRecord).
     """
 
     __slots__ = ("open_rule", "targets", "cache")

@@ -39,6 +39,27 @@ def fraction_count(monkeypatch):
 
 
 @pytest.fixture
+def linexpr_count(monkeypatch):
+    """linexpr_count(fn) runs fn() and returns (its result, the number of
+    ``gw_engine.LinExpr`` objects built meanwhile)."""
+    def run(fn):
+        calls = [0]
+        init = gw_engine.LinExpr.__init__
+
+        def counting(self, *args, **kwargs):
+            calls[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(gw_engine.LinExpr, "__init__", counting)
+        try:
+            result = fn()
+        finally:
+            monkeypatch.undo()
+        return result, calls[0]
+    return run
+
+
+@pytest.fixture
 def cold_caches():
     """Empty every module-level cache of ``qhilb.gw_engine`` and
     ``qhilb.quantum`` (the plans, the compiled shapes, the solver catalogs

@@ -47,7 +47,12 @@ def _add_term_expr(self, rel, sign, beta, raw, ctx):
         factor, key = self._normalize(beta, tuple(sorted(combo)))
         if key is None:
             continue
-        rel.add_scaled(self._reduce_key(key, ctx), sign * coeff * factor)
+        term = self._reduce_key(key, ctx)
+        if term is None:  # the key stays a symbol
+            term = LinExpr(coeffs={key: 1})
+        elif not isinstance(term, LinExpr):
+            term = LinExpr(poison=term) if isinstance(term, Unknown) else LinExpr(const=term)
+        rel.add_scaled(term, sign * coeff * factor)
 
 
 def _instance_expr(self, corners, extra, beta, ctx):

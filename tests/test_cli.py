@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qhilb import cli
 from qhilb.cli import main, render_json
-from qhilb.chow import BASIS_SIZE
+from qhilb.chow import BASIS_SIZE, CODIM
 from qhilb.gw_engine import SeedTable, dimension_check, dimension_classes
 
 DATA = Path(__file__).parent / "data"
@@ -333,11 +333,16 @@ def test_seeds_export(capsys):
 
 def test_seeds_export_lists_every_rule_seed(capsys):
     # every key of 1-3 insertions that the seed table answers at c <= 2
-    # is a line of the export, and the export lists nothing else
+    # and that the engine can look up is a line of the export, and the
+    # export lists nothing else.  The engine looks up a key only after the
+    # divisor axiom, which strips a divisor while three insertions remain,
+    # so a three-point key with a divisor is never a line
     table = SeedTable()
     want = set()
     for n in range(1, 4):
         for ins in itertools.combinations_with_replacement(range(BASIS_SIZE), n):
+            if n == 3 and any(CODIM[i] == 1 for i in ins):
+                continue
             for beta in dimension_classes(ins, 2):
                 hit = table.lookup(beta, ins)
                 if hit is not None:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhilb.chow import (
+    BASIS_SIZE,
     CODIM,
     CohVector,
     UsageError,
@@ -847,14 +848,16 @@ def test_provenance_strings(engine):
 
 
 @pytest.mark.parametrize("beta, ins, value, wdvv, solver, hits", [
-    ((1, 1, 2), [4, 4, 13], 2, 124, 111, 20),
-    ((1, 1, 1), [4, 4, 4, 12], 0, 84, 84, 19),
+    ((1, 1, 2), [4, 4, 13], 2, 117, 111, 20),
+    ((1, 1, 1), [4, 4, 4, 12], 0, 82, 84, 19),
 ], ids=["T4T4T13", "T4T4T4T12"])
 def test_work_counters_pinned(beta, ins, value, wdvv, solver, hits):
     # the work one cold query costs; re-deriving a memoized key raises it.
     # Interior rows are looked up whole, so a key can meet its mirror
     # already derived (T4T4T4T12 built 85 instances and reused 18 mirrors
-    # while rows were read in part)
+    # while rows were read in part).  A key the two-point solve of its
+    # class reduced takes the solve's expression (124 and 84 instances
+    # while such a key built its instance a second time)
     eng = Engine(c_max=2)
     assert eng.invariant(beta, ins) == value
     assert eng.stats == {"wdvv_instances": wdvv, "solver_instances": solver,
@@ -878,7 +881,8 @@ def test_interior_lookups_pinned(monkeypatch):
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
     assert calls[0] == 151
-    assert eng.stats == {"wdvv_instances": 124, "solver_instances": 111, "involution_hits": 20}
+    # 124 instances while a key the solve reduced was reduced again
+    assert eng.stats == {"wdvv_instances": 117, "solver_instances": 111, "involution_hits": 20}
 
 
 def test_boundary_compiled_once_per_shape(cold_caches):
@@ -888,11 +892,12 @@ def test_boundary_compiled_once_per_shape(cold_caches):
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
     built = eng.stats["wdvv_instances"] + eng.stats["solver_instances"]
+    # (86, 149) while a key the solve reduced built its instance again
     info = _boundary_terms.cache_info()
-    assert (info.misses, info.hits) == (86, 149)
+    assert (info.misses, info.hits) == (86, 142)
     assert info.hits + info.misses == built
     info = _interior_plan.cache_info()
-    assert (info.misses, info.hits) == (86, 149)  # one class, so one a+b
+    assert (info.misses, info.hits) == (86, 142)  # one class, so one a+b
     assert info.hits + info.misses == built
 
 
@@ -904,11 +909,12 @@ def test_normal_plan_cached_per_raw_tuple(cold_caches):
     # a+b), also for tuples no lookup of the query reaches (more misses),
     # instead of once per row judged (fewer hits); (493, 809) while a key
     # looked up as asked was stored in the memo too, so a repeated raw
-    # lookup skipped the axioms
+    # lookup skipped the axioms; (493, 810) while a key the two-point
+    # solve reduced built its instance again
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
     info = _normal_plan.cache_info()
-    assert (info.misses, info.hits) == (493, 810)
+    assert (info.misses, info.hits) == (493, 784)
 
 
 def test_add_scaled_accumulates_in_place():
@@ -1147,14 +1153,63 @@ def test_fraction_constructions_pinned(fraction_count):
     assert calls == 28
 
 
-@pytest.mark.parametrize("ins", [(4, 4, 12), (12, 4, 4)])
+@pytest.mark.parametrize("ins", [(4, 4, 12), (12, 4, 4), (4, 4, 13), (13, 4, 4)])
 def test_memo_hit_builds_one_fraction(fraction_count, ins):
-    # an all-index query that hits the memo builds only its public result
+    # an all-index query that hits the memo builds at most its public
+    # result: one Fraction for <T4 T4 T13>_(1,1,2) = 2, and none for
+    # <T4 T4 T12>_(1,1,1) = 0, since every zero answer is the one shared
+    # Fraction(0) (the zero built 1 while each zero answer was its own)
+    beta, want, fractions = ((1, 1, 1), 0, 0) if 12 in ins else ((1, 1, 2), 2, 1)
     eng = Engine(c_max=2)
-    want = eng.invariant((1, 1, 1), [4, 4, 12])
-    value, calls = fraction_count(lambda: eng.invariant((1, 1, 1), ins))
+    assert eng.invariant(beta, sorted(ins)) == want
+    value, calls = fraction_count(lambda: eng.invariant(beta, ins))
     assert type(value) is Fraction and value == want
-    assert calls == 1
+    assert calls == fractions
+
+
+@pytest.mark.parametrize("c_max, beta, ins", [
+    (1, (1, 2, 1), (4, 4, 4, 4, 13)),
+    (2, (1, 1, 2), (5, 5, 5, 5, 5)),
+    (2, (1, 2, 1), (4, 4, 4, 4, 4, 12)),  # Unknown: an unseeded <T4^5>
+])
+def test_cold_query_builds_one_linexpr_per_instance(linexpr_count, c_max, beta, ins):
+    # numbers stay numbers: with the two-point tables solved, every key a
+    # numeric reduction meets is a number or an Unknown, so each instance
+    # builds one LinExpr, its accumulator (a LinExpr wrapped every value
+    # returned, every boundary term and every result)
+    eng = Engine(c_max=c_max)
+    eng.derive_two_point_table()
+    before = dict(eng.stats)
+    _, calls = linexpr_count(lambda: eng.invariant(beta, ins))
+    built = eng.stats["wdvv_instances"] - before["wdvv_instances"]
+    assert eng.stats["solver_instances"] == before["solver_instances"]
+    assert built > 0 and calls == built
+
+
+def test_each_key_reduced_once():
+    # a key the two-point solve of its class reduced takes the solve's
+    # expression at the solved values, so on one engine the 105 basis
+    # products and then every relation build each instance once (1,229
+    # instances for 990 targets while such a key built its instance again)
+    eng = Engine(c_max=6)
+    eng.tracing = True
+    ring = SmallQuantum(eng)
+    for i in range(BASIS_SIZE):
+        for j in range(i, BASIS_SIZE):
+            ring.basis_product(i, j)
+    verify_all(eng)
+    targets = [rec.target for rec in eng.trace_log]
+    assert len(targets) == len(set(targets)) == eng.stats["wdvv_instances"] == 990
+    # the relations first: a key whose own instance meets the first
+    # unsolved two-point key of its class is reduced again by the solve
+    # that key starts, before the solved values exist (13 such keys)
+    eng = Engine(c_max=6)
+    eng.tracing = True
+    verify_all(eng)
+    targets = [rec.target for rec in eng.trace_log]
+    twice = {key for key in targets if targets.count(key) > 1}
+    assert len(targets) - len(set(targets)) == len(twice) == 13
+    assert {ins for _, ins in twice} == {(5, 5, 13)}
 
 
 def test_trace_records():

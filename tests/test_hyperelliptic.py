@@ -193,14 +193,15 @@ def test_columns_3_2_higher_conjugate_pairs(engine_bidegree):
 
 
 @pytest.mark.parametrize("d1, d2, l, vanishing, wdvv, solver", [
-    (3, 2, 2, True, 1069, 216),
-    (2, 2, 1, False, 909, 376),
+    (3, 2, 2, True, 990, 216),
+    (2, 2, 1, False, 809, 376),
 ], ids=["3_2_l2_vanishing", "2_2_l1"])
 def test_hyper_column_work_pinned(d1, d2, l, vanishing, wdvv, solver):
     # the associativity instances one column costs on a fresh engine at
     # c_max 4, as the CLI's `hyper` command builds it (the two columns of
     # the hyper-columns benchmark workload); how dead interior sides are
-    # skipped changes none of this work
+    # skipped changes none of this work.  1,069 and 909 instances while a
+    # key the two-point solve reduced built its instance again
     eng = Engine(c_max=4, enable_bidegree_vanishing=vanishing)
     count_table(HyperellipticQuery(d1, d2, l=l), eng)
     assert (eng.stats["wdvv_instances"], eng.stats["solver_instances"]) == (wdvv, solver)

@@ -77,15 +77,18 @@ def test_bilinear_asks_for_pairs_that_truncate_to_zero(ring):
 # fresh engine per truncation order: (wdvv_instances, solver_instances,
 # involution_hits, memo entries) once every relation has been checked.  The
 # memo holds normalized keys only (273, 652, 1077, 1502, 1957, 2400 and
-# 2843 entries while each key as asked was stored too)
+# 2843 entries while each key as asked was stored too).  A key the
+# two-point solve of its class reduced takes the solve's expression (83,
+# 157, 250, 297, 349, 399 and 449 instances while it built its instance
+# a second time)
 @pytest.mark.parametrize("c_max, work", [
-    (0, (83, 57, 30, 114)),
-    (1, (157, 99, 61, 251)),
-    (2, (250, 156, 92, 396)),
-    (3, (297, 186, 103, 519)),
-    (4, (349, 216, 114, 651)),
-    (5, (399, 246, 125, 785)),
-    (6, (449, 276, 136, 919)),
+    (0, (73, 57, 30, 114)),
+    (1, (139, 99, 61, 251)),
+    (2, (222, 156, 92, 396)),
+    (3, (265, 186, 103, 519)),
+    (4, (313, 216, 114, 651)),
+    (5, (359, 246, 125, 785)),
+    (6, (405, 276, 136, 919)),
 ])
 def test_verify_all_residuals_and_engine_work_pinned(c_max, work):
     # the product derives the same keys, so the engine does the same work

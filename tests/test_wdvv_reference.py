@@ -4,9 +4,9 @@ Each case runs on two fresh engines, one with the engine's own loop and
 one with ``reference_wdvv``'s.  They must agree exactly on values, on the
 first Unknown and on the expressions of instances.  The engine does less
 work: it leaves out the interior sides whose rows the axioms make zero,
-so it builds no more associativity instances than the reference and
-stores fewer keys, but every key the reference stored has the same value
-or the same Unknown reason when asked of the engine afterwards.  The
+so it stores no more keys than the reference, but every key the
+reference stored has the same value or the same Unknown reason when
+asked of the engine afterwards.  The
 warm-engine cases run many queries on one engine, so that instances meet
 interior rows stored by earlier ones and contract them instead of
 looking their entries up.
@@ -34,7 +34,11 @@ def _same_value(got, want):
 
 
 def _assert_same_engine_state(new, ref):
-    assert new.stats["wdvv_instances"] <= ref.stats["wdvv_instances"]
+    # the instances each engine builds depend on when its two-point solves
+    # run, since a key a solve reduced is not built again; the engine
+    # reaches fewer keys, so it stores no more (it was held to no more
+    # instances than the reference while a solve's keys were built again)
+    assert len(new.memo) <= len(ref.memo)
     for key in new.memo.keys() & ref.memo.keys():
         assert _same_value(new.memo[key], ref.memo[key]), key
     for (beta, ins), want in ref.memo.items():
@@ -173,7 +177,7 @@ class _TermRecorder:
 
     def _reduce_key(self, key, ctx):
         self.visits += 1
-        return LinExpr.symbol((self.visits, key[1]))
+        return LinExpr(coeffs={(self.visits, key[1]): 1})
 
 
 @pytest.mark.parametrize("total_codim", [4, 5, 6, 8])
