@@ -5,7 +5,8 @@ Exit codes are a stable contract: 0 success, 1 usage or parse error (a
 seed that contradicts the associativity equations, a ``hyper --gmin``
 outside 0..d1+d2-1, a ``verify --id`` outside 1..17, and an insertion
 list that is malformed or longer than MAX_INSERTIONS included, also the
-l + k insertions a ``hyper`` query builds, and a ``--format`` the command
+l + k insertions a ``hyper`` query builds and the 3 + ytrunc insertions a
+``gamma`` series reaches, and a ``--format`` the command
 does not write: ``hyper`` writes text, json and csv, ``seeds-export``
 text only, every other command text and json), 2 the
 requested value is Unknown, 3 a relation verification failed.
@@ -313,7 +314,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cmax", type=int, default=6,
                         help="q3 truncation order (default 6)")
     parser.add_argument("--ytrunc", type=int, default=2,
-                        help="total y-degree bound for gamma series (default 2)")
+                        help="total y-degree bound for gamma series, 0..%d "
+                             "(default 2)" % (MAX_INSERTIONS - 3))
     parser.add_argument("--seeds", metavar="PATH", default=None,
                         help="seed-override file (fallback: QHILB_SEEDS)")
     parser.add_argument("--enable-bidegree-vanishing", action="store_true",
@@ -371,6 +373,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError("cmax must be >= 0")
         if args.ytrunc < 0:
             raise UsageError("ytrunc must be >= 0")
+        if args.ytrunc > MAX_INSERTIONS - 3:
+            raise UsageError("ytrunc must be <= %d: gamma takes 3 + ytrunc insertions, "
+                             "at most %d" % (MAX_INSERTIONS - 3, MAX_INSERTIONS))
         formats = FORMATS.get(args.command, ("text", "json"))
         if args.format not in formats:
             raise UsageError("%s writes --format %s, not %s"

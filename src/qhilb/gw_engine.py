@@ -44,8 +44,10 @@ every Unknown keeps a reason of its own.
 A private third table holds interior rows for the associativity sums: the
 values of <x y t P>_b for every t of one codimension group, keyed by
 (b, x, y, P, codim) with x, y, P in the raw order the sum looks them up.
-A row is always whole: the first sum that needs it looks every entry up
-in t order and stores the nonzero and Unknown ones as a dict t -> value.
+A row is always whole: the first sum that needs it normalizes every entry
+from the plans ``_row_plan`` caches per (x, y, P, codim), reads the memo
+at each key the axioms leave, in t order (reducing a miss), and stores
+the nonzero and Unknown values as a dict t -> value.
 No memo value changes once written (the two-point solver stores only keys
 the memo lacked, or a mirror's equal value, and solves a class after its
 proper sub-classes, so no solve is re-entered), so a stored row stays
@@ -102,11 +104,13 @@ except a key whose own numeric instance starts its class's solve.
 
 The four boundary terms of an associativity instance are compiled once
 per (corners, extra) shape by the cached ``_boundary_terms``: the cup
-products are expanded into (sorted insertions, signed coefficient) pairs
-that do not depend on the class, in the order the residual visits them,
-so recursion order and the first Unknown do not change.  Equal insertion
-tuples are never merged, because a key whose coefficients cancel must
-still be reduced: if it is Unknown, its poison still reaches the residual.
+products are expanded into (axiom plan, signed coefficient) pairs that do
+not depend on the class, in the order the residual visits them, so
+recursion order and the first Unknown do not change; a term holding T0,
+which the fundamental-class axiom kills at every class, is dropped.
+Equal insertion tuples are never merged, because a key whose
+coefficients cancel must still be reduced: if it is Unknown, its poison
+still reaches the residual.
 Each instance then normalizes and reduces the compiled terms at its class
 and folds them, and the interior sum, into one fresh ``LinExpr``, the
 only one it builds: the reducer (``_reduce_key``, ``_reduce_by_wdvv``,
@@ -114,9 +118,12 @@ only one it builds: the reducer (``_reduce_key``, ``_reduce_by_wdvv``,
 left, a ``LinExpr`` only while it names a target or an open two-point
 key, and None for such a key itself.  The axioms' class-free part is
 cached per raw insertion tuple by ``_normal_plan`` (T0, the a+b the
-dimension axiom wants, the divisors to strip, the sorted rest), so
-normalizing at a class compares a+b and multiplies the stripped
-divisors' degrees.
+dimension axiom wants, the class components the stripped divisors' degrees
+read, the sorted rest), so normalizing at a class compares a+b and
+multiplies those components.  Rows and boundary terms carry their plans,
+one per row entry or term, compiled with their shape: they apply them
+inline at each class, and only the lookups of ``_invariant`` and
+``provenance_of`` go through ``_normalize``.
 
 Integral values travel as Python ints: memo entries, seed values, row
 entries, the compiled boundary coefficients, the axioms' divisor factors,
@@ -324,26 +331,38 @@ def _multiset_splits(extra: Insertions) -> Tuple[Tuple[Insertions, Insertions, i
     return tuple(out)
 
 
+# Each divisor's degree is one component of the class
+# (``chow.divisor_degree``): _DEGREE_COMPONENT maps a divisor to the index
+# of that component, which its degree on (0, 1, 2) reads.
+_DEGREE_COMPONENT = {d: divisor_degree(d, (0, 1, 2)) for d in (1, 2, 3)}
+
+# The class-free part of the axioms for one insertion tuple, as
+# ``_normal_plan`` gives it: (2(a+b), divisor components, sorted rest).
+_Plan = Tuple[int, Tuple[int, ...], Insertions]
+
+
 @lru_cache(maxsize=None)
-def _normal_plan(ins: Insertions) -> Optional[Tuple[int, Insertions, Insertions]]:
+def _normal_plan(ins: Insertions) -> Optional[_Plan]:
     """The class-free part of ``Engine._normalize`` for an insertion tuple
     in any order: None when it holds T0 (fundamental-class axiom), else
-    (2(a+b) as the dimension axiom requires, the divisors the divisor
-    axiom strips, the sorted rest).  Divisors are taken in the tuple's
-    order and only while at least three insertions remain: one- and
-    two-point values are primitive inputs here.  Cached like
+    (2(a+b) as the dimension axiom requires, the class components that the
+    divisors the divisor axiom strips read as their degrees, the sorted
+    rest).  Divisors are taken in the tuple's order and only while at
+    least three insertions remain: one- and two-point values are primitive
+    inputs here.  At a class the factor is the product of those
+    components, and a zero one kills the key.  Cached like
     ``splittings``."""
     if 0 in ins:
         return None
     work = list(ins)
-    divisors = []
+    components = []
     while len(work) >= 3:
         d = next((i for i in work if CODIM[i] == 1), None)
         if d is None:
             break
         work.remove(d)
-        divisors.append(d)
-    return (sum(CODIM[i] for i in ins) - len(ins) - 1, tuple(divisors),
+        components.append(_DEGREE_COMPONENT[d])
+    return (sum(CODIM[i] for i in ins) - len(ins) - 1, tuple(components),
             tuple(sorted(work)))
 
 
@@ -352,13 +371,8 @@ def _normal_plan(ins: Insertions) -> Optional[Tuple[int, Insertions, Insertions]
 _CODIM_GROUPS = tuple(tuple(t for t in range(chow.BASIS_SIZE) if CODIM[t] == c) for c in range(5))
 
 # A class's nonzero pattern: bit n is set when its n-th component (a, b or
-# c) is not 0.  The axioms read a class only through a+b and this pattern,
-# since each divisor's degree is one component (``chow.divisor_degree``).
-# _DIVISOR_BIT maps a divisor to the bit of the component its degree reads,
-# and _SUPERSETS[need] is the mask of the patterns holding every bit of need.
-_DIVISOR_BIT = {d: sum(1 << n for n, unit in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-                       if divisor_degree(d, unit))
-                for d in (1, 2, 3)}
+# c) is not 0.  The axioms read a class only through a+b and this pattern.
+# _SUPERSETS[need] is the mask of the patterns holding every bit of need.
 _SUPERSETS = tuple(sum(1 << p for p in range(8) if p & need == need) for need in range(8))
 
 
@@ -375,19 +389,28 @@ def _split_plan(beta: Beta) -> Tuple[Tuple[Beta, Beta, int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
+def _row_plan(x: int, y: int, part: Insertions, codim: int) -> Tuple[Tuple[int, _Plan], ...]:
+    """The entries <x y t P> of an interior row's codimension group that
+    hold no T0, as (t, ``_normal_plan((x, y, t) + P)``) in t order: a row
+    normalizes each entry at its class from this plan.  Cached like
+    ``splittings``."""
+    return tuple((t, plan) for t in _CODIM_GROUPS[codim]
+                 for plan in (_normal_plan((x, y, t) + part),) if plan is not None)
+
+
+@lru_cache(maxsize=None)
 def _row_mask(x: int, y: int, part: Insertions, codim: int, double: int) -> int:
     """The axioms' verdict on the interior rows (b, x, y, P, codim) with
     2(a+b) = ``double``: bit p is set when, at a class of nonzero pattern
     p, ``Engine._normalize`` leaves <x y t P>_b for some t of the group
     (the row is live).  Cached like ``splittings``."""
     mask = 0
-    for t in _CODIM_GROUPS[codim]:
-        plan = _normal_plan((x, y, t) + part)
-        if plan is not None and plan[0] == double:
-            need = 0
-            for d in plan[1]:
-                need |= _DIVISOR_BIT[d]
-            mask |= _SUPERSETS[need]
+    for _, (need, components, _) in _row_plan(x, y, part, codim):
+        if need == double:
+            bits = 0
+            for n in components:
+                bits |= 1 << n
+            mask |= _SUPERSETS[bits]
     return mask
 
 
@@ -438,10 +461,6 @@ def _interior_plan(corners: Tuple[int, int, int, int], extra: Insertions, s: int
 # _EMPTY_ROW (never mutated).
 _Row = Dict[int, Value]
 _EMPTY_ROW: _Row = {}
-
-
-def _make_row(values: Iterable[Tuple[int, Value]]) -> _Row:
-    return {t: _exact(v) for t, v in values if isinstance(v, Unknown) or v} or _EMPTY_ROW
 
 
 def _contract(e_row: _Row, f_row: _Row):
@@ -528,19 +547,24 @@ def _expand(insertions: Iterable) -> Iterator[Tuple[Insertions, Union[int, Fract
 
 @lru_cache(maxsize=None)
 def _boundary_terms(corners: Tuple[int, int, int, int],
-                    extra: Insertions) -> Tuple[Tuple[Insertions, Union[int, Fraction]], ...]:
+                    extra: Insertions) -> Tuple[Tuple[_Plan, Union[int, Fraction]], ...]:
     """The four boundary terms of an associativity instance, expanded:
-    (sorted insertions, signed coefficient) in the order the residual
-    visits them, +[i, j, k.l], +[i.j, k, l], -[i, k, j.l], -[i.k, j, l]
-    (each followed by ``extra``), each in ``_expand`` order.  Equal
-    insertion tuples are never merged: a key whose coefficients cancel is
-    still reduced, so an Unknown it carries still poisons the residual.
-    Cached like ``splittings``; the class only enters at normalization."""
+    (``_normal_plan`` of the insertions, signed coefficient) in the order
+    the residual visits them, +[i, j, k.l], +[i.j, k, l], -[i, k, j.l],
+    -[i.k, j, l] (each followed by ``extra``), each in ``_expand`` order.
+    A term holding T0 is dropped: the fundamental-class axiom kills it at
+    every class.  Equal insertion tuples are never merged: a key whose
+    coefficients cancel is still reduced, so an Unknown it carries still
+    poisons the residual.  Cached like ``splittings``; the class only
+    enters when an instance applies the plans."""
     i, j, k, l = corners
     out = []
     for sign, raw in ((1, (i, j, cup_basis(k, l))), (1, (cup_basis(i, j), k, l)),
                       (-1, (i, k, cup_basis(j, l))), (-1, (cup_basis(i, k), j, l))):
-        out.extend((ins, _exact(sign * coeff)) for ins, coeff in _expand(raw + extra))
+        for ins, coeff in _expand(raw + extra):
+            plan = _normal_plan(ins)
+            if plan is not None:
+                out.append((plan, _exact(sign * coeff)))
     return tuple(out)
 
 
@@ -962,19 +986,17 @@ class Engine:
 
         Returns (factor, key) with key None when the invariant is an exact
         zero.  The class-free part is ``_normal_plan(ins)``; here only a+b
-        is compared and the stripped divisors' degrees are multiplied, in
-        the plan's order, up to the first zero degree.
+        is compared and the components the stripped divisors read are
+        multiplied.  Interior rows and boundary terms apply their plans the
+        same way, inline.
         """
         plan = _normal_plan(ins)
         if plan is None or 2 * (beta[0] + beta[1]) != plan[0]:
             return 0, None
         factor = 1
-        for d in plan[1]:
-            deg = divisor_degree(d, beta)
-            if deg == 0:
-                return 0, None
-            factor *= deg
-        return factor, (beta, plan[2])
+        for n in plan[1]:
+            factor *= beta[n]
+        return (factor, (beta, plan[2])) if factor else (0, None)
 
     def _invariant(self, beta: Beta, ins: Insertions) -> Value:
         factor, key = self._normalize(beta, ins)
@@ -999,12 +1021,31 @@ class Engine:
 
     def _row(self, key: tuple) -> _Row:
         """The whole interior row (b, x, y, P, codim): every <x y t P>_b of
-        the group, looked up in t order the first time and stored."""
+        the group, normalized from ``_row_plan`` and looked up in t order
+        the first time, and stored."""
         row = self._rows.get(key)
         if row is None:
             b, x, y, part, codim = key
-            row = self._rows[key] = _make_row(
-                (t, self._invariant(b, (x, y, t) + part)) for t in _CODIM_GROUPS[codim])
+            double = 2 * (b[0] + b[1])
+            memo = self.memo
+            row = {}
+            for t, (need, components, rest) in _row_plan(x, y, part, codim):
+                if need != double:
+                    continue
+                factor = 1
+                for n in components:
+                    factor *= b[n]
+                if not factor:
+                    continue
+                nkey = (b, rest)
+                value = memo.get(nkey)
+                if value is None:
+                    value = memo[nkey] = self._reduce_key(nkey, _Context())
+                if type(value) is Unknown:
+                    row[t] = value
+                elif value:
+                    row[t] = _exact(factor * value)
+            row = self._rows[key] = row or _EMPTY_ROW
         return row
 
     def _side(self, e_key: tuple, f_key: tuple):
@@ -1092,26 +1133,32 @@ class Engine:
         rel = LinExpr()  # the one accumulator, mutated only here
         coeffs = rel.coeffs
         const = 0  # the numbers' part of the boundary
-        normalize = self._normalize
         reduce_key = self._reduce_key
-        for ins, coeff in _boundary_terms(corners, extra):
-            factor, key = normalize(beta, ins)
-            if key is None:
+        double = 2 * (beta[0] + beta[1])
+        for (need, components, rest), coeff in _boundary_terms(corners, extra):
+            # the term's plan at this class, as ``_normalize`` applies it;
+            # coeff becomes the signed coefficient times the divisor factor
+            if need != double:
                 continue
+            for n in components:
+                coeff *= beta[n]
+            if not coeff:
+                continue
+            key = (beta, rest)
             value = reduce_key(key, ctx)
             kind = type(value)
             if value is None:  # the key is a symbol
-                total = coeffs.get(key, 0) + coeff * factor
+                total = coeffs.get(key, 0) + coeff
                 if total:
                     coeffs[key] = total
                 else:
                     del coeffs[key]
             elif kind is LinExpr:
-                rel.add_scaled(value, coeff * factor)
+                rel.add_scaled(value, coeff)
             elif kind is Unknown:
                 rel.poison = rel.poison or value
             elif value:
-                const += coeff * factor * value
+                const += coeff * value
         plans = _interior_plan(corners, extra, beta[0] + beta[1])
         side = self._side
         scaled_acc = 0  # D times the interior sum

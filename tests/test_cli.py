@@ -92,6 +92,8 @@ def test_usage_errors_exit_1(capsys, argv):
      "curve class components must be integers: '1,x,1'"),
     (("hyper", "--d1", "2", "--d2", "2", "--l", "-1"),
      "the number of conjugate pairs must be >= 0"),
+    # T14 would stop gamma at once if the bound were not checked first
+    (("--ytrunc", "998", "gamma", "T4", "T4", "T14"), "ytrunc must be <= 997"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, argv, needle):
     # none of these may print a made-up answer or end in a traceback

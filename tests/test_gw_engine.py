@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -34,12 +35,13 @@ from qhilb.gw_engine import (
     _catalog_source,
     _Context,
     _contract,
+    _exact,
     _instance_catalog,
     _interior_plan,
-    _make_row,
     _normal_plan,
     _pattern,
     _row_mask,
+    _row_plan,
     _side_plan,
     dimension_check,
     dimension_classes,
@@ -864,23 +866,30 @@ def test_work_counters_pinned(beta, ins, value, wdvv, solver, hits):
                          "involution_hits": hits}
 
 
-def test_interior_lookups_pinned(monkeypatch):
+class _RowReadCounter(dict):
+    """A memo that counts the reads ``Engine._row`` makes, one per row
+    entry the axioms leave."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        if sys._getframe(1).f_code is Engine._row.__code__:
+            self.reads += 1
+        return dict.get(self, key, default)
+
+
+def test_interior_lookups_pinned():
     # the interior lookups one cold query makes: each row is looked up
-    # whole once and contracted from then on, and a side whose row the
-    # axioms make zero is not looked up at all (the loop without rows made
-    # 8,434 lookups here, with rows but no dead sides 2,602, and 215 while
-    # a row read in part was looked up again at every visit)
-    calls = [0]
-    lookup = Engine._invariant
-
-    def counting(self, beta, ins):
-        calls[0] += 1
-        return lookup(self, beta, ins)
-
-    monkeypatch.setattr(Engine, "_invariant", counting)
+    # whole once and contracted from then on, a side whose row the axioms
+    # make zero is not looked up at all, and an entry the axioms zero
+    # reads no memo.  While each entry was an ``_invariant`` call, axioms
+    # included, the query made 151 calls, one of them its own (the loop
+    # without rows made 8,434 lookups, with rows but no dead sides 2,602,
+    # and 215 while a row read in part was looked up again at every visit)
     eng = Engine(c_max=2)
+    eng.memo = _RowReadCounter()
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
-    assert calls[0] == 151
+    assert eng.memo.reads == 150
     # 124 instances while a key the solve reduced was reduced again
     assert eng.stats == {"wdvv_instances": 117, "solver_instances": 111, "involution_hits": 20}
 
@@ -903,18 +912,44 @@ def test_boundary_compiled_once_per_shape(cold_caches):
 
 def test_normal_plan_cached_per_raw_tuple(cold_caches):
     # the axioms' class-free part is worked out once per raw insertion
-    # tuple: every other normalization of the query is one cache hit.
-    # (310, 1193) while each row the table lacked was judged at its class;
-    # the row masks read the plan of every t once per (x, y, P, codim,
-    # a+b), also for tuples no lookup of the query reaches (more misses),
-    # instead of once per row judged (fewer hits); (493, 809) while a key
-    # looked up as asked was stored in the memo too, so a repeated raw
-    # lookup skipped the axioms; (493, 810) while a key the two-point
-    # solve reduced built its instance again
+    # tuple: the plans of row entries and boundary terms are read once per
+    # shape, when ``_row_plan`` or ``_boundary_terms`` compiles it, and a
+    # hit is left only where a second shape, or a query, meets the tuple.
+    # (493, 784) while each row entry and boundary term asked for its plan
+    # at every lookup; (310, 1193) while each row the table lacked was
+    # judged at its class; the row masks read the plan of every t once per
+    # (x, y, P, codim, a+b), also for tuples no lookup of the query
+    # reaches (more misses), instead of once per row judged (fewer hits);
+    # (493, 809) while a key looked up as asked was stored in the memo
+    # too, so a repeated raw lookup skipped the axioms; (493, 810) while a
+    # key the two-point solve reduced built its instance again
     eng = Engine(c_max=2)
     assert eng.invariant((1, 1, 2), [4, 4, 13]) == 2
     info = _normal_plan.cache_info()
-    assert (info.misses, info.hits) == (493, 784)
+    assert (info.misses, info.hits) == (493, 205)
+
+
+def test_module_caches_are_keyed_by_shape():
+    # a second fresh engine that answers the same queries as a first adds
+    # no entry to any plan cache: each is keyed by a class-free shape (or
+    # an a+b), never by a class's other parts or by an engine.  The
+    # queries: the (3,2) column with two conjugate pairs, and 200 keys of
+    # the benchmark stream's space (a+b <= 2, one to five insertions)
+    pool = [(beta, ins) for n in range(1, 6)
+            for ins in itertools.combinations_with_replacement(range(1, BASIS_SIZE), n)
+            for beta in dimension_classes(ins, 3) if beta[0] + beta[1] <= 2]
+    keys = random.Random(7).sample(pool, 200)
+    caches = (_row_plan, _boundary_terms, _interior_plan, _row_mask, _normal_plan)
+
+    def answer():
+        eng = Engine(c_max=3, enable_bidegree_vanishing=True)
+        column = forward_invariants(HyperellipticQuery(3, 2, l=2), eng)
+        return column, [eng.invariant(beta, ins) for beta, ins in keys]
+
+    first = answer()
+    sizes = [cache.cache_info().currsize for cache in caches]
+    assert answer() == first
+    assert [cache.cache_info().currsize for cache in caches] == sizes
 
 
 def test_add_scaled_accumulates_in_place():
@@ -924,6 +959,12 @@ def test_add_scaled_accumulates_in_place():
     acc.add_scaled(LinExpr(1, {a: Fraction(1, 2)}, poison=Unknown("first")), -1)
     acc.add_scaled(LinExpr(poison=Unknown("second")), 5)
     assert (acc.const, acc.coeffs, acc.poison) == (0, {b: Fraction(3, 2)}, Unknown("first"))
+
+
+def _make_row(values):
+    # a row as ``Engine._row`` stores it: the nonzero and Unknown values in
+    # t order, or the shared empty row
+    return {t: _exact(v) for t, v in values if isinstance(v, Unknown) or v} or _EMPTY_ROW
 
 
 def test_row_contraction_is_exact():

@@ -16,8 +16,11 @@ from fractions import Fraction
 
 import pytest
 
+from qhilb.chow import CODIM
 from qhilb.gw_engine import (Engine, LinExpr, Unknown, _boundary_terms, _Context,
-                             _corner_quadruples)
+                             _corner_quadruples, _normal_plan)
+from qhilb.quantum import verify_all
+from reference_normalize import reference_normalize
 from reference_wdvv import _instance_expr as reference_instance_expr
 from reference_wdvv import use_reference_loop
 
@@ -183,12 +186,16 @@ class _TermRecorder:
 @pytest.mark.parametrize("total_codim", [4, 5, 6, 8])
 def test_boundary_terms_match_reference_expansion(total_codim):
     # the compiled boundary is the reference's CohVector expansion: the
-    # same terms in the same order with the same signed coefficients
+    # same terms in the same order with the same signed coefficients, each
+    # with the axioms' plan of its insertions, and the terms holding T0
+    # left out (they were compared as insertion tuples, T0 terms included,
+    # while each instance normalized its terms afresh)
     for corners in _corner_quadruples(total_codim):
         for extra in ((), (4,), (5,), (8,), (4, 4)):
             rel = reference_instance_expr(_TermRecorder(), corners, extra, (0, 0, 0), None)
-            want = [(ins, c) for (_, ins), c in rel.coeffs.items()]
-            assert [n for n, _ in rel.coeffs] == list(range(1, len(want) + 1))
+            assert [n for n, _ in rel.coeffs] == list(range(1, len(rel.coeffs) + 1))
+            want = [(plan, c) for (_, ins), c in rel.coeffs.items()
+                    for plan in [_normal_plan(ins)] if plan is not None]
             assert list(_boundary_terms(corners, extra)) == want, (corners, extra)
 
 
@@ -198,10 +205,110 @@ def test_cancelling_boundary_terms_still_poison():
     eng = Engine(c_max=1)
     terms = _boundary_terms((1, 3, 3, 10), ())
     sums = {}
-    for ins, c in terms:
-        sums[ins] = sums.get(ins, 0) + c
+    # summed by the plan, which stands for the term's insertions (they
+    # were summed by the insertion tuples the terms held before)
+    for plan, c in terms:
+        sums[plan] = sums.get(plan, 0) + c
     assert terms and not any(sums.values())
     got = eng.wdvv_residual(1, 3, 3, 10, (), (1, 0, 2))
     assert got == Unknown("exceeds c_max=1 at ((1, 0, 2),)")
     expr = eng.wdvv_instance(1, 3, 3, 10, (), (1, 0, 2))
     assert (expr.const, expr.coeffs, expr.poison) == (0, {}, None)
+
+
+# -- the plans that rows and boundary terms carry ------------------------------
+
+# every class with a+b <= 3 and c <= 3: the a+b a plan wants, others, and
+# classes where a stripped divisor has degree 0
+PLAN_CLASSES = [(a, s - a, c) for s in range(4) for a in range(s + 1) for c in range(4)
+                if (a, s - a, c) != (0, 0, 0)]
+
+
+class _Reads(dict):
+    """A memo that logs every key read."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def get(self, key, default=None):
+        self.log.append(key)
+        return dict.get(self, key, default)
+
+
+class _PlanProbe:
+    """Stands in for the engine under ``Engine._row`` (``row`` true) or
+    ``Engine._instance_expr``: a row entry the memo misses reduces to a
+    code that names its key (no two codes times small factors are equal),
+    a boundary key to a symbol numbered in visiting order, and every side
+    of an interior sum is 0."""
+
+    def __init__(self, codes, row):
+        self.codes = codes
+        self.row = row
+        self.memo = _Reads()
+        self._rows = {}
+        self.visits = 0
+
+    def code(self, key):
+        return self.codes.setdefault(key, 2 ** 40 + 2 * len(self.codes) + 1)
+
+    def _reduce_key(self, key, ctx):
+        if self.row:
+            return self.code(key)
+        self.visits += 1
+        return LinExpr(coeffs={(self.visits, key): 1})
+
+    def _side(self, e_key, f_key):
+        return 0
+
+
+def _shapes_met(monkeypatch):
+    """The row shapes (x, y, P, codim) and the (corners, extra) shapes of
+    the instances met by <T4 T4 T13>_(1,1,2) at c_max 2 and by
+    ``verify_all`` at c_max 3."""
+    boundary = {}
+    instance_expr = Engine._instance_expr
+
+    def recording(self, corners, extra, beta, ctx):
+        boundary[corners, extra] = None
+        return instance_expr(self, corners, extra, beta, ctx)
+
+    monkeypatch.setattr(Engine, "_instance_expr", recording)
+    small, large = Engine(c_max=2), Engine(c_max=3)
+    assert small.invariant((1, 1, 2), [4, 4, 13]) == 2
+    assert all(r.is_zero() for r in verify_all(large).values())
+    monkeypatch.undo()
+    rows = dict.fromkeys(key[1:] for eng in (small, large) for key in eng._rows)
+    return list(rows), list(boundary)
+
+
+def test_plans_match_reference_normalize(monkeypatch):
+    # every row entry and boundary term a row or an instance normalizes
+    # from its plan, at every class of PLAN_CLASSES, is what
+    # ``reference_normalize`` makes of its raw insertions: the same keys
+    # read or visited in the same order, with the same factors
+    row_shapes, boundary_shapes = _shapes_met(monkeypatch)
+    assert len(row_shapes) >= 40 and len(boundary_shapes) >= 90  # 44 and 96
+    codes = {}
+    for x, y, part, codim in row_shapes:
+        for b in PLAN_CLASSES:
+            probe = _PlanProbe(codes, row=True)
+            got = Engine._row(probe, (b, x, y, part, codim))
+            want, reads = {}, []
+            for t in range(len(CODIM)):
+                if CODIM[t] == codim:
+                    factor, key = reference_normalize(b, (x, y, t) + part)
+                    if key is not None:
+                        reads.append(key)
+                        want[t] = factor * probe.code(key)
+            assert (got, probe.memo.log) == (want, reads), (b, x, y, part, codim)
+    for corners, extra in boundary_shapes:
+        raw = reference_instance_expr(_TermRecorder(), corners, extra, (0, 0, 0), None)
+        for beta in PLAN_CLASSES:
+            probe = _PlanProbe(codes, row=False)
+            rel = Engine._instance_expr(probe, corners, extra, beta, _Context())
+            got = [(key, c) for (_, key), c in rel.coeffs.items()]
+            want = [(key, c * factor) for (_, ins), c in raw.coeffs.items()
+                    for factor, key in [reference_normalize(beta, ins)] if key is not None]
+            assert got == want, (corners, extra, beta)
